@@ -64,7 +64,8 @@ int main() {
 
     SimTime t0 = cluster.clock().Now();
     int udf = ctx.RegisterZip(
-        [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+        [](const std::vector<double*>& rows, size_t n, uint64_t,
+           const std::vector<double>&) -> uint64_t {
           for (size_t i = 0; i < n; ++i) rows[0][i] -= 0.1 * rows[3][i];
           return 2 * n;
         });

@@ -98,7 +98,8 @@ void BM_ZipAdamStyle(benchmark::State& state) {
   Dcv v = *f.ctx.Derive(w);
   Dcv g = *f.ctx.Derive(w);
   int udf = f.ctx.RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>& rows, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) {
           rows[1][i] = 0.999 * rows[1][i] + 0.001 * rows[3][i] * rows[3][i];
           rows[2][i] = 0.9 * rows[2][i] + 0.1 * rows[3][i];

@@ -165,6 +165,18 @@ class BufferReader {
 
   Result<std::vector<uint64_t>> ReadVarintVector();
 
+  /// Reads a varint element count and rejects it unless the remaining bytes
+  /// can hold that many elements of at least `min_bytes_per_elem` bytes
+  /// each. Use it for every count that sizes a container or a loop, so a
+  /// hostile or truncated frame is refused before anything is allocated.
+  Result<uint64_t> ReadCount(size_t min_bytes_per_elem = 1) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n, ReadVarint());
+    if (n > remaining() / min_bytes_per_elem) {
+      return Status::OutOfRange("element count exceeds buffer");
+    }
+    return n;
+  }
+
   /// Bulk doubles without a length prefix.
   Result<std::vector<double>> ReadF64Span(size_t n) {
     if (n > remaining() / sizeof(double)) {

@@ -173,7 +173,8 @@ Status Dcv::Scale(double alpha) {
   return context_->client()->ColumnOp(ColOpKind::kScale, ref_, {}, alpha);
 }
 
-Status Dcv::Zip(const std::vector<Dcv>& others, int udf_id) {
+Status Dcv::Zip(const std::vector<Dcv>& others, int udf_id,
+                const std::vector<double>& args) {
   PS2_TRACE_SPAN("dcv", "zip");
   PS2_RETURN_NOT_OK(CheckValid(*this));
   std::vector<RowRef> rows{ref_};
@@ -181,7 +182,7 @@ Status Dcv::Zip(const std::vector<Dcv>& others, int udf_id) {
     PS2_RETURN_NOT_OK(CheckValid(d));
     rows.push_back(d.ref_);
   }
-  return context_->client()->Zip(rows, udf_id);
+  return context_->client()->Zip(rows, udf_id, args);
 }
 
 Result<std::vector<std::vector<double>>> Dcv::ZipAggregate(

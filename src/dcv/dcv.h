@@ -102,9 +102,11 @@ class Dcv {
   Status Scale(double alpha);
 
   /// Runs registered server-side UDF `udf_id` over [this, others...] — the
-  /// paper's `zip(...).mapPartition{...}` (Fig. 3 lines 22-26). The UDF may
-  /// mutate every zipped row, hence non-const.
-  Status Zip(const std::vector<Dcv>& others, int udf_id);
+  /// paper's `zip(...).mapPartition{...}` (Fig. 3 lines 22-26). `args` travel
+  /// with the request and reach the UDF on every server. The UDF may mutate
+  /// every zipped row, hence non-const.
+  Status Zip(const std::vector<Dcv>& others, int udf_id,
+             const std::vector<double>& args = {});
 
   /// Read-only server-side aggregation over [this, others...]; returns one
   /// result vector per partition (paper Fig. 8's split finding).

@@ -379,7 +379,7 @@ class Ps2HistogramAggregator final : public HistogramAggregator {
       // in this single server-side pass.
       subtract_udf_ = ctx_->RegisterZip(
           [](const std::vector<double*>& rows, size_t n,
-             uint64_t) -> uint64_t {
+             uint64_t, const std::vector<double>&) -> uint64_t {
             for (size_t g = 0; g + 5 < rows.size(); g += 6) {
               kernels::Sub(rows[g], rows[g + 2], rows[g + 4], n);
               kernels::Sub(rows[g + 1], rows[g + 3], rows[g + 5], n);

@@ -87,10 +87,12 @@ Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
                        ctx->DeriveN(weight, n_state));
   PS2_ASSIGN_OR_RETURN(Dcv gradient, ctx->Derive(weight));
   for (Dcv& s : state) PS2_RETURN_NOT_OK(s.Zero());
-
-  auto step = std::make_shared<std::atomic<int64_t>>(0);
-  const int zip_udf =
-      ctx->RegisterZip(MakeOptimizerZip(options.optimizer, step));
+  // Fig. 3 line 10's gradient.zero(), hoisted out of the loop: the update
+  // zip resets the gradient after consuming it, so it is zero at every
+  // iteration boundary (and in every checkpoint image).
+  PS2_RETURN_NOT_OK(gradient.Zero());
+  const int zip_udf = ctx->RegisterZip(MakeOptimizerZip(options.optimizer));
+  int64_t step = 0;
 
   TrainReport report;
   report.system = std::string("PS2-") +
@@ -102,9 +104,6 @@ Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
   const GlmLossKind loss_kind = options.loss;
 
   for (int iter = 0; iter < options.iterations; ++iter) {
-    // Fig. 3 line 10: gradient.zero().
-    PS2_RETURN_NOT_OK(gradient.Zero());
-
     // Fig. 3 lines 12-19: sample, pull (sparse), compute, push, barrier.
     Dataset<Example> batch =
         data.Sample(options.batch_fraction,
@@ -143,15 +142,17 @@ Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
       loss_sum += l;
       count += c;
     }
-    if (count == 0) continue;  // degenerate sample; skip the update
+    // Degenerate sample: nothing was pushed, so skip the update.
+    if (count == 0) continue;
 
-    // Fig. 3 lines 21-26: server-side model update via zip. Normalize the
-    // summed gradient first (also a server-side column op).
-    PS2_RETURN_NOT_OK(gradient.Scale(1.0 / static_cast<double>(count)));
-    step->fetch_add(1);
+    // Fig. 3 lines 21-26: server-side model update via zip. The same round
+    // normalizes the summed gradient and resets it (MakeOptimizerZip).
+    ++step;
     std::vector<Dcv> zip_rows = state;
     zip_rows.push_back(gradient);
-    PS2_RETURN_NOT_OK(weight.Zip(zip_rows, zip_udf));
+    const std::vector<double> args{static_cast<double>(step),
+                                   1.0 / static_cast<double>(count)};
+    PS2_RETURN_NOT_OK(weight.Zip(zip_rows, zip_udf, args));
 
     if (options.checkpoint_every > 0 &&
         (iter + 1) % options.checkpoint_every == 0) {

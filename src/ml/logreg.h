@@ -9,8 +9,9 @@
 //   3. gradient push — workers `add` sparse gradients into the gradient DCV;
 //                      the stage barrier plays Spark's foreach() role,
 //   4. model update  — one server-side `zip` over the co-located
-//                      [w, s, v, g] DCVs applies the optimizer; no model
-//                      bytes cross the network.
+//                      [w, s, v, g] DCVs averages the gradient, applies
+//                      the optimizer and resets the gradient, all in one
+//                      round; no model bytes cross the network.
 //
 // The same gradient math is exported for the baseline trainers.
 

@@ -1,8 +1,10 @@
 #include "ml/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "linalg/kernels/kernels.h"
 
 namespace ps2 {
 
@@ -92,29 +94,32 @@ uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,
   return 0;
 }
 
-ZipFn MakeOptimizerZip(const OptimizerOptions& options,
-                       std::shared_ptr<std::atomic<int64_t>> step) {
-  PS2_CHECK(step != nullptr);
-  OptimizerOptions opts = options;
-  return [opts, step](const std::vector<double*>& rows, size_t n,
-                      uint64_t /*col_offset*/) -> uint64_t {
-    const int64_t t = step->load();
-    switch (opts.kind) {
-      case OptimizerKind::kSgd:
-        PS2_CHECK_EQ(rows.size(), 2u);  // [w, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[1], nullptr, nullptr,
-                                  n);
-      case OptimizerKind::kAdagrad:
-      case OptimizerKind::kRmsProp:
-        PS2_CHECK_EQ(rows.size(), 3u);  // [w, s, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[2], rows[1], nullptr,
-                                  n);
-      case OptimizerKind::kAdam:
-        PS2_CHECK_EQ(rows.size(), 4u);  // [w, s, v, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[3], rows[1], rows[2],
-                                  n);
+ZipFn MakeOptimizerZip(const OptimizerOptions& options) {
+  return [options](const std::vector<double*>& rows, size_t n,
+                   uint64_t /*col_offset*/,
+                   const std::vector<double>& args) -> uint64_t {
+    PS2_CHECK_EQ(args.size(), 2u);  // {t, inv_count}
+    const auto t = static_cast<int64_t>(args[0]);
+    const double inv_count = args[1];
+    const int n_state = OptimizerStateVectors(options.kind);
+    PS2_CHECK_EQ(rows.size(), static_cast<size_t>(n_state + 2));
+    double* w = rows[0];
+    double* s = n_state >= 1 ? rows[1] : nullptr;
+    double* v = n_state >= 2 ? rows[2] : nullptr;
+    double* g = rows.back();
+    // Block by block, so the scaled gradient is still in cache when the
+    // step reads it and when it is reset.
+    constexpr size_t kBlock = 1024;
+    uint64_t ops = 0;
+    for (size_t lo = 0; lo < n; lo += kBlock) {
+      const size_t len = std::min(kBlock, n - lo);
+      ops += kernels::Scale(g + lo, inv_count, len);
+      ops += ApplyOptimizerStep(options, t, w + lo, g + lo,
+                                s != nullptr ? s + lo : nullptr,
+                                v != nullptr ? v + lo : nullptr, len);
+      ops += kernels::Fill(g + lo, 0.0, len);
     }
-    return 0;
+    return ops;
   };
 }
 

@@ -9,9 +9,7 @@
 //   * worker-side, on pulled slices (the "PS-" pull/push baselines),
 //   * driver-side, on the full dense model (the Spark MLlib baseline).
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "ps/ps_server.h"
@@ -49,11 +47,14 @@ uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,
                             double* w, const double* g, double* s, double* v,
                             size_t n);
 
-/// Builds a server-side Zip UDF implementing the optimizer step over
+/// Builds a server-side Zip UDF implementing the whole model update over
 /// co-located rows ordered [w, s, v, g] (Adam; Fig. 3's four DCVs),
-/// [w, s, g] (Adagrad/RMSProp) or [w, g] (SGD). The shared `step` counter is
-/// read at execution time; the trainer increments it once per iteration.
-ZipFn MakeOptimizerZip(const OptimizerOptions& options,
-                       std::shared_ptr<std::atomic<int64_t>> step);
+/// [w, s, g] (Adagrad/RMSProp) or [w, g] (SGD), in one pass and one round.
+/// The request's args are {t, inv_count}: the 1-based step and the batch
+/// normalizer. The UDF averages the summed gradient (g * inv_count, exactly
+/// what a server-side Scale would store), applies ApplyOptimizerStep to it
+/// and resets g to zero for the next iteration's pushes. Its op count is
+/// the step's plus 2n (the scale and the reset).
+ZipFn MakeOptimizerZip(const OptimizerOptions& options);
 
 }  // namespace ps2

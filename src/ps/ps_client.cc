@@ -1512,7 +1512,8 @@ Result<double> PsClient::Dot(RowRef a, RowRef b) {
   return DotAsync(a, b).Get();
 }
 
-Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id) {
+Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id,
+                     const std::vector<double>& args) {
   if (rows.empty()) return Status::InvalidArgument("zip needs rows");
   MatrixMeta meta;
   PS2_ASSIGN_OR_RETURN(bool colocated, CoLocated(rows, &meta));
@@ -1532,6 +1533,7 @@ Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id) {
       writer.WriteVarint(r.matrix_id);
       writer.WriteVarint(r.row);
     }
+    writer.WritePodVector(args);
     requests.push_back(MakeRouted(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse).Wait();

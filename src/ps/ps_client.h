@@ -144,8 +144,10 @@ class PsClient {
   /// Distributed dot product of two rows.
   Result<double> Dot(RowRef a, RowRef b);
 
-  /// Runs a registered mutating UDF over the co-located rows, server-side.
-  Status Zip(const std::vector<RowRef>& rows, int udf_id);
+  /// Runs a registered mutating UDF over the co-located rows, server-side,
+  /// passing `args` to it on every server.
+  Status Zip(const std::vector<RowRef>& rows, int udf_id,
+             const std::vector<double>& args = {});
 
   /// Runs a registered aggregation UDF server-side; returns one result
   /// vector per partition (in partition order).

@@ -671,10 +671,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  if (n > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount());
   RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
   if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
                                      static_cast<uint32_t>(row))) {
@@ -760,10 +757,7 @@ Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  if (n > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount());
   RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
   PS2_ASSIGN_OR_RETURN(Shard * shard,
                        FindShard(static_cast<int>(matrix_id),
@@ -862,10 +856,7 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOp(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
   PS2_ASSIGN_OR_RETURN(uint64_t dst_matrix, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t dst_row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_src, in->ReadVarint());
-  if (n_src > in->remaining()) {
-    return Status::OutOfRange("operand count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n_src, in->ReadCount());
   std::vector<std::pair<uint64_t, uint64_t>> srcs(n_src);
   for (auto& [m, r] : srcs) {
     PS2_ASSIGN_OR_RETURN(m, in->ReadVarint());
@@ -996,13 +987,15 @@ Result<PsServer::HandleResult> PsServer::HandleZip(BufferReader* in) {
     // all of them as written for snapshot copy-on-publish.
     touched.emplace_back(m, r);
   }
+  // ReadPodVector bounds the argument count by the remaining bytes.
+  PS2_ASSIGN_OR_RETURN(std::vector<double> args, in->ReadPodVector<double>());
   const ZipFn* fn = udfs_->GetZip(static_cast<int>(udf_id));
   if (fn == nullptr) return Status::NotFound("zip udf not registered");
   for (const auto& [m, r] : touched) {
     TouchRowIdLocked(static_cast<int>(m), r);
   }
   HandleResult out;
-  out.server_ops = (*fn)(rows, width, begin);
+  out.server_ops = (*fn)(rows, width, begin, args);
   return out;
 }
 
@@ -1185,10 +1178,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   // zigzag varints of llround(value) — PS2's message compression for
   // integer count matrices (LDA).
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadVarint());
-  if (n_idx > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount());
   std::vector<uint64_t> cols(n_idx);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < n_idx; ++i) {
@@ -1239,10 +1229,7 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
   for (uint64_t r = 0; r < n_rows; ++r) {
     PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-    if (nnz > in->remaining()) {
-      return Status::OutOfRange("delta count exceeds request buffer");
-    }
+    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
     RecordPush(static_cast<int>(m), static_cast<uint32_t>(row));
     uint64_t w = 0, b = 0;
     PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
@@ -1276,13 +1263,10 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
 }
 
 Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  if (count > in->remaining()) {
-    return Status::OutOfRange("row count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount());
   // Replace the replica set: survivors keep their values and version, rows
-  // leaving the hot set are dropped, newcomers start zero-filled at version
-  // 0 so pulls fall through to the primary until the first install.
+  // leaving the hot set are dropped, newcomers start empty at version 0 so
+  // pulls fall through to the primary until the first install.
   std::map<std::pair<int, uint32_t>, Replica> next;
   for (uint64_t i = 0; i < count; ++i) {
     PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
@@ -1294,9 +1278,10 @@ Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
     if (it != replicas_.end() && it->second.dim == dim) {
       next.emplace(key, std::move(it->second));
     } else {
+      // The first install (kReplicaSync phase 1) sizes the values from its
+      // own payload; `dim` here is not backed by any bytes on the wire.
       Replica replica;
       replica.dim = dim;
-      replica.values.assign(dim, 0.0);
       next.emplace(key, std::move(replica));
     }
   }
@@ -1311,10 +1296,7 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
   if (phase == 0) {
     // Collect: drain pending deltas and report this server's primary slice
     // of each listed row, so the master can rebuild the authoritative value.
-    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    if (n > in->remaining()) {
-      return Status::OutOfRange("row count exceeds request buffer");
-    }
+    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount());
     for (uint64_t i = 0; i < n; ++i) {
       PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
       PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
@@ -1375,10 +1357,7 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-  if (nnz > in->remaining()) {
-    return Status::OutOfRange("delta count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
   RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
   // Accumulate into pending even for a version-0 (not-yet-installed)
   // replica: the next sync folds the deltas into the primary either way.
@@ -1421,10 +1400,7 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
     // after a recovery republished under a fresh epoch.
     return Status::FailedPrecondition("serving snapshot epoch not available");
   }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadVarint());
-  if (n_entries > in->remaining()) {
-    return Status::OutOfRange("entry count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadCount());
   HandleResult out;
   BufferWriter writer;
   writer.WriteVarint(n_entries);
@@ -1575,7 +1551,8 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(staged.begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(staged.end, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(staged.dim, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadVarint());
+  // Every staged row carries at least one byte (a dense value or an nnz).
+  PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadCount());
   PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
   if (staged.begin >= staged.end) {
@@ -1595,10 +1572,7 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   } else {
     staged.sparse_rows.assign(num_rows, {});
     for (uint64_t r = 0; r < num_rows; ++r) {
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-      if (nnz > in->remaining()) {
-        return Status::OutOfRange("nnz exceeds request buffer");
-      }
+      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
       std::vector<uint64_t> cols(nnz);
       uint64_t prev = 0;
       for (uint64_t i = 0; i < nnz; ++i) {
@@ -1616,7 +1590,7 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
       out.server_ops += nnz;
     }
   }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in->ReadCount());
   staged.worker_clocks.resize(n_clocks, 0);
   for (uint64_t w = 0; w < n_clocks; ++w) {
     PS2_ASSIGN_OR_RETURN(staged.worker_clocks[w], in->ReadVarint());
@@ -1633,7 +1607,8 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   // data plane observes either the old or the new layout, never a mix.
   PS2_ASSIGN_OR_RETURN(uint64_t epoch, in->ReadVarint());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
-  PS2_ASSIGN_OR_RETURN(uint64_t n_matrices, in->ReadVarint());
+  // Each entry is five varints and a byte: at least 6 bytes on the wire.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_matrices, in->ReadCount(6));
   struct Entry {
     int matrix_id;
     uint64_t begin, end, dim;
@@ -1962,7 +1937,7 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
-    if (replica.values.size() != replica.dim) {
+    if (!replica.values.empty() && replica.values.size() != replica.dim) {
       return Status::Internal("checkpoint replica width mismatch");
     }
     PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
@@ -1997,7 +1972,7 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   // row so the next snapshot publish re-copies from the restored state.
   TouchAllRowsLocked();
   if (in.AtEnd()) return Status::OK();  // checkpoint predates §11 clocks
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadVarint());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount());
   // Max-merge into whatever the vector holds: clock advances applied after
   // the checkpoint (replayed via retries during recovery) must not be
   // rewound by restoring the older image.

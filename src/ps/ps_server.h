@@ -35,9 +35,12 @@ namespace ps2 {
 
 /// Mutating server-side function over aligned row slices.
 /// `rows` are the local slices (one pointer per DCV, `n` elements each),
-/// `col_offset` is the global column index of element 0. Returns op count.
+/// `col_offset` is the global column index of element 0, and `args` is the
+/// request's scalar argument list (the same on every server). Returns op
+/// count.
 using ZipFn = std::function<uint64_t(const std::vector<double*>& rows, size_t n,
-                                     uint64_t col_offset)>;
+                                     uint64_t col_offset,
+                                     const std::vector<double>& args)>;
 
 /// Read-only server-side aggregation returning a small result vector.
 using ZipAggFn = std::function<std::vector<double>(

@@ -117,7 +117,8 @@ TEST_F(ColocationTest, AdamGroupStaysServerLocal) {
   Dcv v = *ctx_->Derive(w);
   Dcv g = *ctx_->Derive(w);
   int udf = ctx_->RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>& rows, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) {
           rows[0][i] -= 0.1 * rows[3][i];
           rows[1][i] += rows[3][i] * rows[3][i];

@@ -121,7 +121,8 @@ TEST_P(DcvShapeSweep, ZipEqualsLocalLoop) {
   ASSERT_TRUE(a.Push(va).ok());
   ASSERT_TRUE(b.Push(vb).ok());
   int udf = ctx_->RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>& rows, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) {
           rows[0][i] = rows[0][i] * 0.5 + rows[1][i] * rows[1][i];
         }

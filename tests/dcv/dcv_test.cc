@@ -150,7 +150,8 @@ TEST_F(DcvTest, ZipAppliesUdfOverAllVectors) {
   ASSERT_TRUE(w.Fill(1.0).ok());
   ASSERT_TRUE(g.Fill(0.25).ok());
   int udf = ctx_->RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>& rows, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) rows[0][i] -= rows[1][i];
         return 2 * n;
       });
@@ -162,7 +163,7 @@ TEST_F(DcvTest, ZipSeesGlobalColumnOffsets) {
   Dcv v = *ctx_->Dense(90, 2);
   int udf = ctx_->RegisterZip(
       [](const std::vector<double*>& rows, size_t n,
-         uint64_t col_offset) -> uint64_t {
+         uint64_t col_offset, const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) {
           rows[0][i] = static_cast<double>(col_offset + i);
         }

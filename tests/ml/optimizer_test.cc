@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace ps2 {
 namespace {
@@ -125,19 +129,20 @@ TEST(OptimizerTest, ZipUdfMatchesDirectApplication) {
   OptimizerOptions opt;
   opt.kind = OptimizerKind::kAdam;
   opt.learning_rate = 0.05;
-  auto step = std::make_shared<std::atomic<int64_t>>(0);
-  ZipFn zip = MakeOptimizerZip(opt, step);
+  ZipFn zip = MakeOptimizerZip(opt);
 
   const size_t n = 16;
-  std::vector<double> w_zip(n, 0.1), s_zip(n, 0.0), v_zip(n, 0.0),
-      g(n, 0.5);
+  std::vector<double> w_zip(n, 0.1), s_zip(n, 0.0), v_zip(n, 0.0), g(n);
   std::vector<double> w_ref = w_zip, s_ref = s_zip, v_ref = v_zip;
   for (int t = 1; t <= 3; ++t) {
-    step->fetch_add(1);
+    // The zip consumes the summed gradient of 4 examples; the reference
+    // steps on the average.
+    std::fill(g.begin(), g.end(), 2.0);
+    std::vector<double> g_avg(n, 0.5);
     std::vector<double*> rows{w_zip.data(), s_zip.data(), v_zip.data(),
                               g.data()};
-    zip(rows, n, 0);
-    ApplyOptimizerStep(opt, t, w_ref.data(), g.data(), s_ref.data(),
+    zip(rows, n, 0, {static_cast<double>(t), 0.25});
+    ApplyOptimizerStep(opt, t, w_ref.data(), g_avg.data(), s_ref.data(),
                        v_ref.data(), n);
   }
   for (size_t i = 0; i < n; ++i) {
@@ -151,13 +156,117 @@ TEST(OptimizerTest, SgdZipUsesTwoRows) {
   OptimizerOptions opt;
   opt.kind = OptimizerKind::kSgd;
   opt.learning_rate = 1.0;
-  auto step = std::make_shared<std::atomic<int64_t>>(1);
-  ZipFn zip = MakeOptimizerZip(opt, step);
-  std::vector<double> w{1.0}, g{0.25};
+  ZipFn zip = MakeOptimizerZip(opt);
+  std::vector<double> w{1.0}, g{0.5};
   std::vector<double*> rows{w.data(), g.data()};
-  zip(rows, 1, 0);
+  zip(rows, 1, 0, {1.0, 0.5});
   EXPECT_DOUBLE_EQ(w[0], 0.75);
+  EXPECT_EQ(g[0], 0.0);
 }
+
+/// The server-side rows of one optimizer zip, in MakeOptimizerZip's order.
+struct ZipRows {
+  std::vector<double> w, s, v, g;
+
+  ZipRows(size_t n, uint64_t seed) : w(n), s(n), v(n), g(n) {
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      w[i] = rng.NextDouble() - 0.5;
+      s[i] = rng.NextDouble();
+      v[i] = rng.NextDouble() - 0.5;
+    }
+  }
+
+  void FillGradient(uint64_t seed) {
+    Rng rng(seed);
+    for (double& x : g) x = 10.0 * (rng.NextDouble() - 0.5);
+  }
+
+  std::vector<double*> Pointers(OptimizerKind kind) {
+    switch (OptimizerStateVectors(kind)) {
+      case 0:
+        return {w.data(), g.data()};
+      case 1:
+        return {w.data(), s.data(), g.data()};
+      default:
+        return {w.data(), s.data(), v.data(), g.data()};
+    }
+  }
+};
+
+class OptimizerZipSweep : public ::testing::TestWithParam<OptimizerKind> {
+ protected:
+  OptimizerOptions Options() const {
+    OptimizerOptions opt;
+    opt.kind = GetParam();
+    opt.learning_rate = 0.05;
+    opt.l2 = 0.01;
+    return opt;
+  }
+
+  // Crosses the zip's internal block boundary with a ragged tail.
+  static constexpr size_t kN = 2500;
+};
+
+TEST_P(OptimizerZipSweep, EqualsScaleThenStepAndZeroesGradient) {
+  const OptimizerOptions opt = Options();
+  const int n_state = OptimizerStateVectors(opt.kind);
+  ZipFn zip = MakeOptimizerZip(opt);
+  ZipRows got(kN, 7);
+  ZipRows want(kN, 7);
+  for (int t = 1; t <= 3; ++t) {
+    const double inv_count = 1.0 / (3.0 + t);
+    got.FillGradient(100 + t);
+    want.FillGradient(100 + t);
+    // Reference: what a server-side Scale stores, then the unchanged step.
+    for (double& x : want.g) x *= inv_count;
+    const uint64_t step_ops = ApplyOptimizerStep(
+        opt, t, want.w.data(), want.g.data(),
+        n_state >= 1 ? want.s.data() : nullptr,
+        n_state >= 2 ? want.v.data() : nullptr, kN);
+    const uint64_t ops =
+        zip(got.Pointers(opt.kind), kN, 0, {static_cast<double>(t), inv_count});
+    EXPECT_EQ(ops, step_ops + 2 * kN);
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(got.w[i], want.w[i]) << "t=" << t << " i=" << i;
+      ASSERT_EQ(got.s[i], want.s[i]) << "t=" << t << " i=" << i;
+      ASSERT_EQ(got.v[i], want.v[i]) << "t=" << t << " i=" << i;
+      ASSERT_EQ(got.g[i], 0.0) << "t=" << t << " i=" << i;
+    }
+  }
+}
+
+TEST_P(OptimizerZipSweep, OutputIsPureFunctionOfRowsAndArgs) {
+  const OptimizerOptions opt = Options();
+  ZipFn used = MakeOptimizerZip(opt);
+  ZipFn fresh = MakeOptimizerZip(opt);
+  // A call history on unrelated rows must not leak into later calls.
+  ZipRows other(kN, 3);
+  for (int t = 1; t <= 4; ++t) {
+    other.FillGradient(t);
+    used(other.Pointers(opt.kind), kN, 0, {static_cast<double>(t), 0.5});
+  }
+  ZipRows a(kN, 11);
+  ZipRows b(kN, 11);
+  a.FillGradient(42);
+  b.FillGradient(42);
+  const std::vector<double> args{2.0, 0.125};
+  EXPECT_EQ(used(a.Pointers(opt.kind), kN, 0, args),
+            fresh(b.Pointers(opt.kind), kN, 0, args));
+  EXPECT_EQ(a.w, b.w);
+  EXPECT_EQ(a.s, b.s);
+  EXPECT_EQ(a.v, b.v);
+  EXPECT_EQ(a.g, b.g);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, OptimizerZipSweep,
+                         ::testing::Values(OptimizerKind::kSgd,
+                                           OptimizerKind::kAdagrad,
+                                           OptimizerKind::kRmsProp,
+                                           OptimizerKind::kAdam),
+                         [](const auto& info) {
+                           return OptimizerKindName(info.param);
+                         });
 
 class OptimizerConvergenceSweep
     : public ::testing::TestWithParam<OptimizerKind> {};

@@ -147,7 +147,8 @@ TEST_F(PsClientTest, ZipRequiresCoLocation) {
   RowRef a = NewMatrix(50);
   RowRef b = NewMatrix(50);
   int udf = master_->udfs()->RegisterZip(
-      [](const std::vector<double*>&, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>&, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         return n;
       });
   EXPECT_TRUE(client_->Zip({a, b}, udf).IsFailedPrecondition());

@@ -27,7 +27,8 @@ class PsFuzzTest : public ::testing::Test {
   PsFuzzTest() : server_(0, &udfs_) {
     EXPECT_TRUE(server_.CreateMatrixShard(MakeMeta(0, 64, 4)).ok());
     udfs_.RegisterZip(
-        [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+        [](const std::vector<double*>& rows, size_t n, uint64_t,
+           const std::vector<double>&) -> uint64_t {
           for (size_t i = 0; i < n; ++i) rows[0][i] += 1;
           return n;
         });
@@ -54,7 +55,8 @@ TEST_F(PsFuzzTest, RandomBytesNeverCrash) {
 
 TEST_F(PsFuzzTest, ValidOpcodeGarbageBodyNeverCrashes) {
   Rng rng(0xF0221);
-  for (uint8_t opcode = 0; opcode <= 15; ++opcode) {
+  constexpr auto kLastOpcode = static_cast<uint8_t>(PsOpCode::kRoutingUpdate);
+  for (uint8_t opcode = 0; opcode <= kLastOpcode; ++opcode) {
     for (int trial = 0; trial < 500; ++trial) {
       size_t len = rng.NextUint64(48);
       std::vector<uint8_t> request(1 + len);
@@ -72,20 +74,58 @@ TEST_F(PsFuzzTest, EmptyRequestRejected) {
   EXPECT_FALSE(server_.Handle({}).ok());
 }
 
+std::vector<uint8_t> PullRow0Request() {
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  writer.WriteVarint(0);
+  writer.WriteVarint(0);
+  writer.WriteVarint(0);
+  writer.WriteVarint(64);
+  return writer.Release();
+}
+
+/// A zip of the fixture's UDF over row 0 whose argument list claims
+/// `n_args` doubles and carries `args`.
+std::vector<uint8_t> ZipRow0Request(uint64_t n_args,
+                                    const std::vector<double>& args) {
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kZip));
+  writer.WriteVarint(0);  // udf id
+  writer.WriteVarint(1);  // one row: (matrix 0, row 0)
+  writer.WriteVarint(0);
+  writer.WriteVarint(0);
+  writer.WriteVarint(n_args);
+  for (double a : args) writer.WriteF64(a);
+  return writer.Release();
+}
+
 TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
-  // Build a valid pull request, then replay every truncation of it.
+  // Build valid requests, then replay every truncation of each. The zip's
+  // truncations cut into its f64 argument list too, and none may run the
+  // UDF (which would change row 0).
   BufferWriter writer;
   writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
   writer.WriteVarint(0);
   writer.WriteVarint(1);
   writer.WriteVarint(0);
   writer.WriteVarint(64);
-  std::vector<uint8_t> full = writer.Release();
-  for (size_t len = 0; len < full.size(); ++len) {
-    std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
-    EXPECT_FALSE(server_.Handle(truncated).ok()) << "length " << len;
+  const std::vector<uint8_t> pull = writer.Release();
+  const std::vector<uint8_t> zip = ZipRow0Request(2, {2.0, 0.5});
+  const std::vector<uint8_t> row0 = server_.Handle(PullRow0Request())->response;
+  for (const std::vector<uint8_t>& full : {pull, zip}) {
+    for (size_t len = 0; len < full.size(); ++len) {
+      std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
+      EXPECT_FALSE(server_.Handle(truncated).ok()) << "length " << len;
+    }
   }
-  EXPECT_TRUE(server_.Handle(full).ok());
+  // So is an argument count the remaining bytes cannot hold.
+  const uint64_t huge = uint64_t{1} << 60;
+  EXPECT_TRUE(
+      server_.Handle(ZipRow0Request(huge, {2.0, 0.5})).status().IsOutOfRange());
+  EXPECT_EQ(server_.Handle(PullRow0Request())->response, row0);
+  EXPECT_TRUE(server_.Handle(pull).ok());
+  EXPECT_TRUE(server_.Handle(zip).ok());
+  EXPECT_NE(server_.Handle(PullRow0Request())->response, row0);
 }
 
 TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {

@@ -149,7 +149,8 @@ TEST_F(PsServerTest, DotPartial) {
 TEST_F(PsServerTest, ZipRunsRegisteredUdf) {
   PushDense(0, 0, 0, {1, 2, 3});
   int udf = udfs_.RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+      [](const std::vector<double*>& rows, size_t n, uint64_t,
+         const std::vector<double>&) -> uint64_t {
         for (size_t i = 0; i < n; ++i) rows[0][i] *= 10;
         return n;
       });
@@ -159,6 +160,7 @@ TEST_F(PsServerTest, ZipRunsRegisteredUdf) {
   w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
+  w.WriteVarint(0);  // empty argument list
   Call(w);
   std::vector<double> row = Pull(0, 0, 0, 3);
   EXPECT_EQ(row[0], 10.0);
@@ -172,6 +174,7 @@ TEST_F(PsServerTest, ZipUnknownUdfFails) {
   w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
+  w.WriteVarint(0);  // empty argument list
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
 }
 
