@@ -158,7 +158,7 @@ class BufferReader {
       return Status::OutOfRange("pod vector length exceeds buffer");
     }
     std::vector<T> out(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(T));
+    if (n > 0) std::memcpy(out.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return out;
   }
@@ -183,7 +183,7 @@ class BufferReader {
       return Status::OutOfRange("f64 span exceeds buffer");
     }
     std::vector<double> out(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
+    if (n > 0) std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return out;
   }
@@ -194,7 +194,7 @@ class BufferReader {
     if (n > remaining() / sizeof(double)) {
       return Status::OutOfRange("f64 span exceeds buffer");
     }
-    std::memcpy(dst, data_ + pos_, n * sizeof(double));
+    if (n > 0) std::memcpy(dst, data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return Status::OK();
   }

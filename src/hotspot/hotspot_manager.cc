@@ -7,6 +7,7 @@
 #include "common/serde.h"
 #include "net/message.h"
 #include "net/network_model.h"
+#include "ps/ps_client.h"
 #include "ps/ps_master.h"
 
 namespace ps2 {
@@ -349,16 +350,10 @@ Status HotspotManager::SyncReplicasLocked() {
       }
       for (const auto& [server, cv] : per_server) {
         BufferWriter push;
-        push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
-        push.WriteVarint(static_cast<uint64_t>(hot_[i].first.matrix_id));
-        push.WriteVarint(hot_[i].first.row);
-        push.WriteVarint(cv.first.size());
-        uint64_t prev = 0;
-        for (uint64_t col : cv.first) {
-          push.WriteVarint(col - prev);
-          prev = col;
-        }
-        for (double v : cv.second) push.WriteF64(v);
+        BeginPushSparse(&push, 1, /*compress_counts=*/false);
+        WritePushSparseRow(&push, hot_[i].first, cv.first.data(),
+                           cv.second.data(), cv.first.size(),
+                           /*compress_counts=*/false);
         std::vector<uint8_t> response;
         PS2_RETURN_NOT_OK(Exchange(&t, server, push.Release(), &response));
       }

@@ -1,5 +1,6 @@
 #include "net/filters.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -100,8 +101,11 @@ std::vector<uint8_t> LzCompress(Slice in) {
 }
 
 Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len) {
+  // `raw_len` comes off the wire: reserve no more than a plausible expansion
+  // of the stream, so a lying length fails below as a truncated stream
+  // instead of allocating the claim up front.
   std::vector<uint8_t> out;
-  out.reserve(raw_len);
+  out.reserve(std::min<size_t>(raw_len, in.size() * 8));
   BufferReader r(in);
   while (out.size() < raw_len) {
     PS2_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());

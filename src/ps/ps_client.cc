@@ -268,33 +268,25 @@ PsClient::ServerRequest PsClient::MakeHashRouted(const MatrixMeta& meta,
 
 namespace {
 
-/// One entry per owning server, in partition order. Shard-scoped opcodes
-/// (column ops, zip, row aggregates, row batches) operate on the target
-/// server's whole contiguous shard and carry no column window, so they must
-/// go out once per SERVER. Under elastic membership partitions are finer
-/// than shards (DESIGN.md §12) and a per-partition fan-out would apply a
-/// mutating op k times on a server owning k partitions. The representative
-/// partition is the lowest one in the server's block: it routes the request
-/// and re-aims it after a routing-epoch swap. With one partition per server
-/// (a static cluster) this is exactly the old per-partition fan-out.
-struct SpanTarget {
-  int partition = 0;   // representative partition for routing
-  uint64_t begin = 0;  // server's column span
-  uint64_t end = 0;
-};
-
-std::vector<SpanTarget> SpanTargets(const ColumnPartitioner& part) {
-  std::vector<SpanTarget> out;
+/// One representative partition per owning server, in partition order.
+/// Shard-scoped opcodes (column ops, zip, row aggregates, dot/axpy batches)
+/// operate on the target server's whole contiguous shard and carry no column
+/// window, so they must go out once per SERVER. Under elastic membership
+/// partitions are finer than shards (DESIGN.md §12) and a per-partition
+/// fan-out would apply a mutating op k times on a server owning k
+/// partitions. The representative partition is the lowest one in the
+/// server's block: it routes the request and re-aims it after a
+/// routing-epoch swap. With one partition per server (a static cluster) this
+/// is exactly the per-partition fan-out.
+std::vector<int> ServerPartitions(const ColumnPartitioner& part) {
+  std::vector<int> out;
   int last_server = -1;
   for (int p = 0; p < part.num_partitions(); ++p) {
     if (part.RangeWidth(p) == 0) continue;
     const int server = part.ServerOfPartition(p);
     if (server == last_server) continue;  // block assignments are contiguous
     last_server = server;
-    SpanTarget t;
-    t.partition = p;
-    PS2_CHECK(part.ServerSpan(server, &t.begin, &t.end));
-    out.push_back(t);
+    out.push_back(p);
   }
   return out;
 }
@@ -310,8 +302,7 @@ void PsClient::EncodeRequest(ServerRequest* req, bool force_key_install) {
   req->estats.logical_bytes = req->payload.size();
   req->estats.wire_bytes = req->payload.size();
   if (req->payload.empty()) return;
-  const uint8_t want =
-      filters_.MaskFor(req->payload.slice()[0]);
+  const uint8_t want = filters_.bits;
   if (want == 0) return;
   // Key-cache decisions are epoch-scoped: any hotspot epoch bump (server
   // recovery, hot-set move) clears the client's installed sets, exactly when
@@ -825,99 +816,166 @@ Result<bool> PsClient::CoLocated(const std::vector<RowRef>& rows,
 }
 
 // ----------------------------------------------------------- row access ops
+//
+// Each row-op family (pull, sparse pull, push, sparse push, dot) has one
+// wire format, one encoder and one response parser, all multi-row. A
+// single-row op is a batch of one: after its hot-cache branch it submits
+// through the family's Submit* with one row and unwraps the one result.
 
-PsFuture<std::vector<double>> PsClient::PullDenseAsync(RowRef ref,
-                                                       ColRange cols) {
+namespace {
+
+using Rows = std::vector<std::vector<double>>;
+
+void WriteRowRef(BufferWriter* writer, RowRef ref) {
+  writer->WriteVarint(ref.matrix_id);
+  writer->WriteVarint(ref.row);
+}
+
+/// Opens a kPullDense request: the column window [begin, end) and the row
+/// count; WriteRowRef appends each row.
+void BeginPullDense(BufferWriter* writer, uint64_t begin, uint64_t end,
+                    size_t count) {
+  writer->WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  writer->WriteVarint(begin);
+  writer->WriteVarint(end);
+  writer->WriteVarint(count);
+}
+
+/// Checks the row count that opens every multi-row response.
+Status ReadRowCount(BufferReader* reader, size_t expected) {
+  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
+  if (n != expected) return Status::Internal("response row count mismatch");
+  return Status::OK();
+}
+
+/// One row of a kPullDense response: `width` values into `dst`.
+Status ReadPullDenseRow(BufferReader* reader, uint64_t width, double* dst) {
+  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
+  if (n != width) return Status::Internal("pull width mismatch");
+  return reader->ReadF64Into(dst, n);
+}
+
+/// Opens a kPushDense request: the window start and the row count;
+/// WritePushDenseRow appends each row.
+void BeginPushDense(BufferWriter* writer, uint64_t begin, size_t count) {
+  writer->WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  writer->WriteVarint(begin);
+  writer->WriteVarint(count);
+}
+
+/// Appends one row of a kPushDense request: `n` values for the request's
+/// columns [begin, begin + n).
+void WritePushDenseRow(BufferWriter* writer, RowRef ref, const double* values,
+                       uint64_t n) {
+  WriteRowRef(writer, ref);
+  writer->WriteVarint(n);
+  writer->BeginSection(SectionKind::kF64Values);
+  writer->WriteF64Span(values, n);
+  writer->EndSection();
+}
+
+/// Delta-varint column list as a key section (the keycache filter's unit).
+void WriteDeltaKeys(BufferWriter* writer, const uint64_t* idx, size_t n) {
+  writer->BeginSection(SectionKind::kKeys);
+  uint64_t prev = 0;
+  for (size_t k = 0; k < n; ++k) {
+    writer->WriteVarint(idx[k] - prev);
+    prev = idx[k];
+  }
+  writer->EndSection();
+}
+
+/// kHotPush: a sparse delta accumulated into the row's replica.
+void WriteHotPush(BufferWriter* writer, RowRef ref, const uint64_t* idx,
+                  const double* val, size_t n) {
+  writer->WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
+  WriteRowRef(writer, ref);
+  writer->WriteVarint(n);
+  WriteDeltaKeys(writer, idx, n);
+  writer->BeginSection(SectionKind::kF64Values);
+  writer->WriteF64Span(val, n);
+  writer->EndSection();
+}
+
+/// Unwraps the one row of a single-row op's batch.
+Result<std::vector<double>> FirstRow(Result<Rows>&& rows) {
+  PS2_RETURN_NOT_OK(rows.status());
+  return std::move((*rows)[0]);
+}
+
+}  // namespace
+
+void PsClient::ChargeLocalPull(uint64_t values) {
+  OpScope scope(master_->cluster());
+  TaskTraffic* t = scope.traffic();
+  t->worker_ops += values;
+  t->local_pull_hits += 1;
+  t->local_pull_bytes += values * sizeof(double);
+}
+
+void BeginPushSparse(BufferWriter* writer, size_t count,
+                     bool compress_counts) {
+  writer->WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  writer->WriteU8(compress_counts ? 1 : 0);
+  writer->WriteVarint(count);
+}
+
+void WritePushSparseRow(BufferWriter* writer, RowRef ref, const uint64_t* idx,
+                        const double* val, size_t n, bool compress_counts) {
+  WriteRowRef(writer, ref);
+  writer->WriteVarint(n);
+  WriteDeltaKeys(writer, idx, n);
+  if (compress_counts) {
+    for (size_t k = 0; k < n; ++k) {
+      writer->WriteSignedVarint(static_cast<int64_t>(std::llround(val[k])));
+    }
+  } else {
+    writer->BeginSection(SectionKind::kF64Values);
+    writer->WriteF64Span(val, n);
+    writer->EndSection();
+  }
+}
+
+PsFuture<std::vector<double>> PsClient::RefreshHotRow(const MatrixMeta& meta,
+                                                      RowRef ref) {
+  BufferWriter writer;
+  BeginPullDense(&writer, 0, meta.dim, 1);
+  WriteRowRef(&writer, ref);
+  std::vector<ServerRequest> refresh;
+  refresh.push_back(MakeHashRouted(meta, ref, &writer));
+  return SubmitAsync<std::vector<double>>(
+      std::move(refresh),
+      [this, ref, dim = meta.dim](std::vector<PsServer::HandleResult>&& results,
+                                  TaskTraffic*) -> Result<std::vector<double>> {
+        BufferReader reader(results[0].response);
+        PS2_RETURN_NOT_OK(ReadRowCount(&reader, 1));
+        std::vector<double> values(dim);
+        PS2_RETURN_NOT_OK(ReadPullDenseRow(&reader, dim, values.data()));
+        cache_.Store(ref, values, cache_.epoch());
+        return values;
+      });
+}
+
+PsFuture<std::vector<double>> PsClient::PullDenseAsync(RowRef ref) {
   using Out = std::vector<double>;
   Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
   if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
   const MatrixMeta& meta = *meta_r;
-  const ColRange w = cols.Resolve(meta.dim);
-  if (w.begin > w.end || w.end > meta.dim) {
-    return ReadyFuture<Out>(Status::OutOfRange("pull window out of range"));
-  }
   if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
     // Hot row: serve from the bounded-staleness cache (worker compute only),
     // or refresh the whole row once from its home server's replica.
-    Out served(w.width(), 0.0);
-    if (cache_.TryServeDense(ref, w.begin, w.end, served.data())) {
-      OpScope scope(master_->cluster());
-      TaskTraffic* t = scope.traffic();
-      t->worker_ops += w.width();
-      t->local_pull_hits += 1;
-      t->local_pull_bytes += w.width() * sizeof(double);
+    Out served(meta.dim, 0.0);
+    if (cache_.TryServeDense(ref, 0, meta.dim, served.data())) {
+      ChargeLocalPull(meta.dim);
       return ReadyFuture<Out>(std::move(served));
     }
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(0);
-    writer.WriteVarint(meta.dim);
-    std::vector<ServerRequest> refresh;
-    refresh.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    const uint64_t dim = meta.dim;
-    return SubmitAsync<Out>(
-        std::move(refresh),
-        [this, ref, dim, begin = w.begin, width = w.width()](
-            std::vector<PsServer::HandleResult>&& results,
-            TaskTraffic*) -> Result<Out> {
-          BufferReader reader(results[0].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != dim) {
-            return Status::Internal("hot-row refresh size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          cache_.Store(ref, values, cache_.epoch());
-          Out out(width);
-          std::copy(values.begin() + begin, values.begin() + begin + width,
-                    out.begin());
-          return out;
-        });
+    return RefreshHotRow(meta, ref);
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<uint64_t, uint64_t>> windows;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = std::max(w.begin, part.RangeBegin(p));
-    uint64_t hi = std::min(w.end, part.RangeEnd(p));
-    if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(lo);
-    writer.WriteVarint(hi);
-    requests.push_back(MakeRouted(meta, p, &writer));
-    windows.emplace_back(lo, hi);
-  }
-  const uint64_t begin = w.begin;
-  const uint64_t width = w.width();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [windows = std::move(windows), begin, width](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(width, 0.0);
-        for (size_t i = 0; i < results.size(); ++i) {
-          const auto [lo, hi] = windows[i];
-          BufferReader reader(results[i].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != hi - lo) {
-            return Status::Internal("pull window size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          std::copy(values.begin(), values.end(), out.begin() + (lo - begin));
-        }
-        return out;
-      });
+  return SubmitPullRows(meta, {ref}).Then(FirstRow);
 }
 
-Result<std::vector<double>> PsClient::PullDense(RowRef ref, ColRange cols) {
-  return PullDenseAsync(ref, cols).Get();
+Result<std::vector<double>> PsClient::PullDense(RowRef ref) {
+  return PullDenseAsync(ref).Get();
 }
 
 PsFuture<std::vector<double>> PsClient::PullSparseAsync(
@@ -932,91 +990,21 @@ PsFuture<std::vector<double>> PsClient::PullSparseAsync(
     }
     Out served(indices.size(), 0.0);
     if (cache_.TryServeSparse(ref, indices, served.data())) {
-      OpScope scope(master_->cluster());
-      TaskTraffic* t = scope.traffic();
-      t->worker_ops += indices.size();
-      t->local_pull_hits += 1;
-      t->local_pull_bytes += indices.size() * sizeof(double);
+      ChargeLocalPull(indices.size());
       return ReadyFuture<Out>(std::move(served));
     }
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(0);
-    writer.WriteVarint(meta.dim);
-    std::vector<ServerRequest> refresh;
-    refresh.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    const uint64_t dim = meta.dim;
-    return SubmitAsync<Out>(
-        std::move(refresh),
-        [this, ref, dim, indices](std::vector<PsServer::HandleResult>&& results,
-                                  TaskTraffic*) -> Result<Out> {
-          BufferReader reader(results[0].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != dim) {
-            return Status::Internal("hot-row refresh size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          cache_.Store(ref, values, cache_.epoch());
+    return RefreshHotRow(meta, ref).Then(
+        [indices](Result<Out>&& row) -> Result<Out> {
+          PS2_RETURN_NOT_OK(row.status());
           Out out(indices.size());
           for (size_t k = 0; k < indices.size(); ++k) {
-            out[k] = values[indices[k]];
+            out[k] = (*row)[indices[k]];
           }
           return out;
         });
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  // Sorted indices split into one contiguous run per partition.
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<size_t, size_t>> runs;
-  size_t i = 0;
-  while (i < indices.size()) {
-    if (indices[i] >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("pull index out of range"));
-    }
-    int p = part.PartitionOfColumn(indices[i]);
-    uint64_t range_end = part.RangeEnd(p);
-    size_t j = i;
-    while (j < indices.size() && indices[j] < range_end) ++j;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(indices[k] - prev);
-      prev = indices[k];
-    }
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-    runs.emplace_back(i, j);
-    i = j;
-  }
-  const size_t total = indices.size();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [runs = std::move(runs), total](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(total, 0.0);
-        for (size_t r = 0; r < results.size(); ++r) {
-          const auto [lo, hi] = runs[r];
-          BufferReader reader(results[r].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != hi - lo) {
-            return Status::Internal("sparse pull count mismatch");
-          }
-          for (size_t k = lo; k < hi; ++k) {
-            PS2_ASSIGN_OR_RETURN(out[k], reader.ReadF64());
-          }
-        }
-        return out;
-      });
+  return SubmitPullSparseRows(meta, {ref}, indices, /*compress_counts=*/false)
+      .Then(FirstRow);
 }
 
 Result<std::vector<double>> PsClient::PullSparse(
@@ -1138,75 +1126,37 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
 }
 
 PsFuture<Ack> PsClient::PushDenseAsync(RowRef ref,
-                                       const std::vector<double>& delta,
-                                       ColRange cols) {
+                                       const std::vector<double>& delta) {
   Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
   if (!meta_r.ok()) return ReadyFuture<Ack>(meta_r.status());
   const MatrixMeta& meta = *meta_r;
-  const ColRange w =
-      cols.whole ? ColRange::Of(0, delta.size()) : cols;
-  if (w.width() != delta.size()) {
+  if (delta.size() != meta.dim) {
     return ReadyFuture<Ack>(
-        Status::InvalidArgument("push window/delta size mismatch"));
-  }
-  if (w.end > meta.dim) {
-    return ReadyFuture<Ack>(Status::OutOfRange("push window out of range"));
+        Status::OutOfRange("push delta size differs from the row dimension"));
   }
   if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
     // Hot row: one sparse delta to the home server's replica, applied to
     // the primary at the next ReplicaSync instead of fanning out now.
     std::vector<uint64_t> idx;
     std::vector<double> val;
-    for (uint64_t i = 0; i < w.width(); ++i) {
+    for (uint64_t i = 0; i < delta.size(); ++i) {
       if (delta[i] != 0.0) {
-        idx.push_back(w.begin + i);
+        idx.push_back(i);
         val.push_back(delta[i]);
       }
     }
     if (idx.empty()) return ReadyFuture<Ack>(Ack{});
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(idx.size());
-    writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (uint64_t col : idx) {
-      writer.WriteVarint(col - prev);
-      prev = col;
-    }
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    for (double v : val) writer.WriteF64(v);
-    writer.EndSection();
+    WriteHotPush(&writer, ref, idx.data(), val.data(), idx.size());
     std::vector<ServerRequest> requests;
-    requests.push_back(
-        MakeHashRouted(meta, ref, &writer));
+    requests.push_back(MakeHashRouted(meta, ref, &writer));
     return SubmitAsync<Ack>(std::move(requests), AckParse);
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = std::max(w.begin, part.RangeBegin(p));
-    uint64_t hi = std::min(w.end, part.RangeEnd(p));
-    if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(lo);
-    writer.WriteVarint(hi - lo);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(&delta[lo - w.begin], hi - lo);
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return SubmitPushRows(meta, {ref}, {&delta});
 }
 
-Status PsClient::PushDense(RowRef ref, const std::vector<double>& delta,
-                           ColRange cols) {
-  return PushDenseAsync(ref, delta, cols).Wait();
+Status PsClient::PushDense(RowRef ref, const std::vector<double>& delta) {
+  return PushDenseAsync(ref, delta).Wait();
 }
 
 PsFuture<Ack> PsClient::PushSparseAsync(RowRef ref, const SparseVector& delta) {
@@ -1219,54 +1169,14 @@ PsFuture<Ack> PsClient::PushSparseAsync(RowRef ref, const SparseVector& delta) {
   if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
     if (delta.nnz() == 0) return ReadyFuture<Ack>(Ack{});
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(delta.nnz());
-    writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (uint64_t col : delta.indices()) {
-      writer.WriteVarint(col - prev);
-      prev = col;
-    }
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    for (double v : delta.values()) writer.WriteF64(v);
-    writer.EndSection();
+    WriteHotPush(&writer, ref, delta.indices().data(), delta.values().data(),
+                 delta.nnz());
     std::vector<ServerRequest> requests;
-    requests.push_back(
-        MakeHashRouted(meta, ref, &writer));
+    requests.push_back(MakeHashRouted(meta, ref, &writer));
     return SubmitAsync<Ack>(std::move(requests), AckParse);
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  const auto& idx = delta.indices();
-  const auto& val = delta.values();
-  std::vector<ServerRequest> requests;
-  size_t i = 0;
-  while (i < idx.size()) {
-    int p = part.PartitionOfColumn(idx[i]);
-    uint64_t range_end = part.RangeEnd(p);
-    size_t j = i;
-    while (j < idx.size() && idx[j] < range_end) ++j;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(idx[k] - prev);
-      prev = idx[k];
-    }
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    for (size_t k = i; k < j; ++k) writer.WriteF64(val[k]);
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-    i = j;
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return SubmitPushSparseRows(meta, {ref}, {&delta},
+                              /*compress_counts=*/false);
 }
 
 Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
@@ -1279,8 +1189,7 @@ PsFuture<double> PsClient::RowAggregateAsync(RowRef ref, RowAggKind kind) {
   const MatrixMeta& meta = *meta_r;
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kRowAgg));
     writer.WriteVarint(ref.matrix_id);
@@ -1347,8 +1256,7 @@ PsFuture<Ack> PsClient::ColumnOpAsync(ColOpKind kind, RowRef dst,
   }
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOp));
     writer.WriteU8(static_cast<uint8_t>(kind));
@@ -1482,29 +1390,10 @@ PsFuture<double> PsClient::DotAsync(RowRef a, RowRef b) {
     scope.traffic()->worker_ops += ops;
     return ReadyFuture<double>(out);
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotPartial));
-    writer.WriteVarint(a.matrix_id);
-    writer.WriteVarint(a.row);
-    writer.WriteVarint(b.matrix_id);
-    writer.WriteVarint(b.row);
-    requests.push_back(MakeRouted(meta, p, &writer));
-  }
-  return SubmitAsync<double>(
-      std::move(requests),
-      [](std::vector<PsServer::HandleResult>&& results,
-         TaskTraffic*) -> Result<double> {
-        double total = 0.0;
-        for (const auto& result : results) {
-          BufferReader reader(result.response);
-          PS2_ASSIGN_OR_RETURN(double partial, reader.ReadF64());
-          total += partial;
-        }
-        return total;
+  return SubmitDotBatch(meta, {{a, b}})
+      .Then([](Result<std::vector<double>>&& dots) -> Result<double> {
+        PS2_RETURN_NOT_OK(dots.status());
+        return (*dots)[0];
       });
 }
 
@@ -1523,8 +1412,7 @@ Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id,
   }
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kZip));
     writer.WriteVarint(udf_id);
@@ -1551,8 +1439,7 @@ Result<std::vector<std::vector<double>>> PsClient::ZipAggregate(
   }
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kZipAggregate));
     writer.WriteVarint(udf_id);
@@ -1597,18 +1484,21 @@ PsFuture<std::vector<double>> PsClient::DotBatchAsync(
     return ReadyFuture<Out>(Status::FailedPrecondition(
         "dot-batch requires co-located DCVs; create them with derive"));
   }
-  const ColumnPartitioner& part = meta.partitioner;
+  return SubmitDotBatch(meta, pairs);
+}
+
+PsFuture<std::vector<double>> PsClient::SubmitDotBatch(
+    const MatrixMeta& meta,
+    const std::vector<std::pair<RowRef, RowRef>>& pairs) {
+  using Out = std::vector<double>;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(meta.partitioner)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
     writer.WriteVarint(pairs.size());
     for (const auto& [a, b] : pairs) {
-      writer.WriteVarint(a.matrix_id);
-      writer.WriteVarint(a.row);
-      writer.WriteVarint(b.matrix_id);
-      writer.WriteVarint(b.row);
+      WriteRowRef(&writer, a);
+      WriteRowRef(&writer, b);
     }
     requests.push_back(MakeRouted(meta, p, &writer));
   }
@@ -1620,8 +1510,7 @@ PsFuture<std::vector<double>> PsClient::DotBatchAsync(
         Out out(count, 0.0);
         for (const auto& result : results) {
           BufferReader reader(result.response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != count) return Status::Internal("dot-batch count mismatch");
+          PS2_RETURN_NOT_OK(ReadRowCount(&reader, count));
           for (size_t i = 0; i < count; ++i) {
             PS2_ASSIGN_OR_RETURN(double partial, reader.ReadF64());
             out[i] += partial;
@@ -1647,8 +1536,7 @@ PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
   }
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
     writer.WriteVarint(tasks.size());
@@ -1666,53 +1554,45 @@ PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
 
 PsFuture<std::vector<std::vector<double>>> PsClient::PullRowsAsync(
     const std::vector<RowRef>& rows) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty()) return ReadyFuture<Out>(Out{});
+  if (rows.empty()) return ReadyFuture<Rows>(Rows{});
   MatrixMeta meta;
   Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
+  if (!colocated.ok()) return ReadyFuture<Rows>(colocated.status());
   if (!*colocated) {
-    return ReadyFuture<Out>(
+    return ReadyFuture<Rows>(
         Status::FailedPrecondition("PullRows requires co-located rows"));
   }
+  return SubmitPullRows(meta, rows);
+}
+
+PsFuture<std::vector<std::vector<double>>> PsClient::SubmitPullRows(
+    const MatrixMeta& meta, const std::vector<RowRef>& rows) {
+  // One request per partition, windowed to its column range: a partition's
+  // range survives a routing-epoch re-aim to its new owner unchanged.
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  std::vector<std::pair<uint64_t, uint64_t>> windows;  // (lo, width)
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const uint64_t lo = target.begin;
-    const uint64_t width = target.end - target.begin;
+  std::vector<std::pair<uint64_t, uint64_t>> windows;
+  for (int p = 0; p < part.num_partitions(); ++p) {
+    if (part.RangeWidth(p) == 0) continue;
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
-    writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
-    requests.push_back(MakeRouted(meta, target.partition, &writer));
-    windows.emplace_back(lo, width);
+    BeginPullDense(&writer, part.RangeBegin(p), part.RangeEnd(p), rows.size());
+    for (const RowRef& r : rows) WriteRowRef(&writer, r);
+    requests.push_back(MakeRouted(meta, p, &writer));
+    windows.emplace_back(part.RangeBegin(p), part.RangeEnd(p));
   }
-  const size_t num_rows = rows.size();
-  const uint64_t dim = meta.dim;
-  return SubmitAsync<Out>(
+  return SubmitAsync<Rows>(
       std::move(requests),
-      [windows = std::move(windows), num_rows, dim](
+      [windows = std::move(windows), num_rows = rows.size(), dim = meta.dim](
           std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(num_rows);
-        for (auto& row : out) row.assign(dim, 0.0);
-        for (size_t r = 0; r < results.size(); ++r) {
-          const auto [lo, width] = windows[r];
-          BufferReader reader(results[r].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-          if (count != num_rows) {
-            return Status::Internal("row-batch pull count mismatch");
-          }
+          TaskTraffic*) -> Result<Rows> {
+        Rows out(num_rows, std::vector<double>(dim, 0.0));
+        for (size_t q = 0; q < results.size(); ++q) {
+          const auto [lo, hi] = windows[q];
+          BufferReader reader(results[q].response);
+          PS2_RETURN_NOT_OK(ReadRowCount(&reader, num_rows));
           for (size_t i = 0; i < num_rows; ++i) {
-            PS2_ASSIGN_OR_RETURN(uint64_t w, reader.ReadVarint());
-            if (w != width) return Status::Internal("row-batch width mismatch");
-            PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                 reader.ReadF64Span(w));
-            std::copy(values.begin(), values.end(), out[i].begin() + lo);
+            PS2_RETURN_NOT_OK(
+                ReadPullDenseRow(&reader, hi - lo, out[i].data() + lo));
           }
         }
         return out;
@@ -1734,39 +1614,43 @@ PsFuture<Ack> PsClient::PushRowsAsync(
     return ReadyFuture<Ack>(
         Status::FailedPrecondition("PushRows requires co-located rows"));
   }
+  std::vector<const std::vector<double>*> delta_ptrs;
+  delta_ptrs.reserve(deltas.size());
   for (const auto& d : deltas) {
     if (d.size() != meta.dim) {
       return ReadyFuture<Ack>(
           Status::InvalidArgument("row delta dimension mismatch"));
     }
+    delta_ptrs.push_back(&d);
   }
+  return SubmitPushRows(meta, rows, delta_ptrs);
+}
+
+PsFuture<Ack> PsClient::SubmitPushRows(
+    const MatrixMeta& meta, const std::vector<RowRef>& rows,
+    const std::vector<const std::vector<double>*>& deltas) {
+  // One request per partition carrying every row's slice of its range.
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const uint64_t lo = target.begin;
-    const uint64_t width = target.end - target.begin;
+  for (int p = 0; p < part.num_partitions(); ++p) {
+    const uint64_t lo = part.RangeBegin(p);
+    const uint64_t width = part.RangeWidth(p);
+    if (width == 0) continue;
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
-    writer.WriteVarint(rows.size());
+    BeginPushDense(&writer, lo, rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-      writer.WriteVarint(width);
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(&deltas[i][lo], width);
-      writer.EndSection();
+      WritePushDenseRow(&writer, rows[i], deltas[i]->data() + lo, width);
     }
-    requests.push_back(MakeRouted(meta, target.partition, &writer));
+    requests.push_back(MakeRouted(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse);
 }
 
 PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
     const std::vector<RowRef>& rows) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty()) return ReadyFuture<Out>(Out{});
+  if (rows.empty()) return ReadyFuture<Rows>(Rows{});
   const size_t n = rows.size();
-  Out out(n);
+  Rows out(n);
   std::map<int, MatrixMeta> metas;
   std::map<int, std::vector<size_t>> by_server;  // owner -> row positions
   uint64_t local_hits = 0, local_bytes = 0, local_ops = 0;
@@ -1775,9 +1659,9 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
     auto it = metas.find(ref.matrix_id);
     if (it == metas.end()) {
       Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-      if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
+      if (!meta_r.ok()) return ReadyFuture<Rows>(meta_r.status());
       if (meta_r->partitioner.assignment().size() != 1) {
-        return ReadyFuture<Out>(Status::FailedPrecondition(
+        return ReadyFuture<Rows>(Status::FailedPrecondition(
             "PullOwnedRows requires single-partition matrices"));
       }
       it = metas.emplace(ref.matrix_id, std::move(*meta_r)).first;
@@ -1800,49 +1684,41 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
     t->local_pull_hits += local_hits;
     t->local_pull_bytes += local_bytes;
   }
-  if (by_server.empty()) return ReadyFuture<Out>(std::move(out));
+  if (by_server.empty()) return ReadyFuture<Rows>(std::move(out));
   std::vector<ServerRequest> requests;
   std::vector<std::vector<size_t>> groups;
   requests.reserve(by_server.size());
   groups.reserve(by_server.size());
   for (auto& [server, members] : by_server) {
+    // Every member is whole on its owner, so a window as wide as the widest
+    // member returns each row in full.
+    uint64_t width = 0;
+    for (size_t i : members) width = std::max<uint64_t>(width, out[i].size());
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
-    writer.WriteVarint(members.size());
-    for (size_t i : members) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-    }
+    BeginPullDense(&writer, 0, width, members.size());
+    for (size_t i : members) WriteRowRef(&writer, rows[i]);
     // Routed by the group's first row: every member shares the server, and
     // a `routing stale` bounce re-aims the group to that row's new home.
     requests.push_back(
         MakeRouted(metas.at(rows[members[0]].matrix_id), 0, &writer));
     groups.push_back(std::move(members));
   }
-  return SubmitAsync<Out>(
+  return SubmitAsync<Rows>(
       std::move(requests),
       [this, rows, groups = std::move(groups), out = std::move(out)](
           std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) mutable -> Result<Out> {
+          TaskTraffic*) mutable -> Result<Rows> {
         for (size_t g = 0; g < results.size(); ++g) {
           BufferReader reader(results[g].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-          if (count != groups[g].size()) {
-            return Status::Internal("owned-rows pull count mismatch");
-          }
+          PS2_RETURN_NOT_OK(ReadRowCount(&reader, groups[g].size()));
           for (size_t i : groups[g]) {
-            PS2_ASSIGN_OR_RETURN(uint64_t w, reader.ReadVarint());
-            if (w != out[i].size()) {
-              return Status::Internal("owned-rows pull width mismatch");
-            }
-            PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                 reader.ReadF64Span(w));
+            PS2_RETURN_NOT_OK(
+                ReadPullDenseRow(&reader, out[i].size(), out[i].data()));
             // A hot-but-stale row reached its owner anyway: the pull IS the
             // refresh, so warm the cache with it.
-            if (cache_.HasHot() && cache_.HotDim(rows[i]) == w) {
-              cache_.Store(rows[i], values, cache_.epoch());
+            if (cache_.HasHot() && cache_.HotDim(rows[i]) == out[i].size()) {
+              cache_.Store(rows[i], out[i], cache_.epoch());
             }
-            std::copy(values.begin(), values.end(), out[i].begin());
           }
         }
         return std::move(out);
@@ -1881,15 +1757,9 @@ PsFuture<Ack> PsClient::PushOwnedRowsAsync(
   requests.reserve(by_server.size());
   for (auto& [server, members] : by_server) {
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
-    writer.WriteVarint(members.size());
+    BeginPushDense(&writer, 0, members.size());  // members are whole here
     for (size_t i : members) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-      writer.WriteVarint(deltas[i].size());
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(deltas[i].data(), deltas[i].size());
-      writer.EndSection();
+      WritePushDenseRow(&writer, rows[i], deltas[i].data(), deltas[i].size());
     }
     requests.push_back(
         MakeRouted(metas.at(rows[members[0]].matrix_id), 0, &writer));
@@ -1900,64 +1770,58 @@ PsFuture<Ack> PsClient::PushOwnedRowsAsync(
 PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(
     const std::vector<RowRef>& rows, const std::vector<uint64_t>& indices,
     bool compress_counts) {
-  using Out = std::vector<std::vector<double>>;
   if (rows.empty() || indices.empty()) {
-    return ReadyFuture<Out>(Out(rows.size()));
+    return ReadyFuture<Rows>(Rows(rows.size()));
   }
   MatrixMeta meta;
   Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
+  if (!colocated.ok()) return ReadyFuture<Rows>(colocated.status());
   if (!*colocated) {
-    return ReadyFuture<Out>(
+    return ReadyFuture<Rows>(
         Status::FailedPrecondition("PullSparseRows requires co-located rows"));
   }
+  return SubmitPullSparseRows(meta, rows, indices, compress_counts);
+}
+
+PsFuture<std::vector<std::vector<double>>> PsClient::SubmitPullSparseRows(
+    const MatrixMeta& meta, const std::vector<RowRef>& rows,
+    const std::vector<uint64_t>& indices, bool compress_counts) {
+  // Sorted indices split into one contiguous run per partition.
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
   std::vector<std::pair<size_t, size_t>> runs;
   size_t i = 0;
   while (i < indices.size()) {
     if (indices[i] >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("pull index out of range"));
+      return ReadyFuture<Rows>(Status::OutOfRange("pull index out of range"));
     }
     int p = part.PartitionOfColumn(indices[i]);
     uint64_t range_end = part.RangeEnd(p);
     size_t j = i;
     while (j < indices.size() && indices[j] < range_end) ++j;
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparseRowsBatch));
+    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
     writer.WriteU8(compress_counts ? 1 : 0);
     writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(indices[k] - prev);
-      prev = indices[k];
-    }
-    writer.EndSection();
+    WriteDeltaKeys(&writer, indices.data() + i, j - i);
     writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
+    for (const RowRef& r : rows) WriteRowRef(&writer, r);
     requests.push_back(MakeRouted(meta, p, &writer));
     runs.emplace_back(i, j);
     i = j;
   }
   const size_t num_rows = rows.size();
   const size_t total = indices.size();
-  return SubmitAsync<Out>(
+  return SubmitAsync<Rows>(
       std::move(requests),
       [runs = std::move(runs), num_rows, total, compress_counts](
           std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(num_rows, std::vector<double>(total, 0.0));
+          TaskTraffic*) -> Result<Rows> {
+        Rows out(num_rows, std::vector<double>(total, 0.0));
         for (size_t q = 0; q < results.size(); ++q) {
           const auto [lo, hi] = runs[q];
           BufferReader reader(results[q].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n_rows, reader.ReadVarint());
-          if (n_rows != num_rows) {
-            return Status::Internal("sparse-rows pull row count mismatch");
-          }
+          PS2_RETURN_NOT_OK(ReadRowCount(&reader, num_rows));
           for (size_t r = 0; r < num_rows; ++r) {
             if (compress_counts) {
               for (size_t k = lo; k < hi; ++k) {
@@ -1965,9 +1829,8 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(
                 out[r][k] = static_cast<double>(iv);
               }
             } else {
-              PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                   reader.ReadF64Span(hi - lo));
-              std::copy(values.begin(), values.end(), out[r].begin() + lo);
+              PS2_RETURN_NOT_OK(
+                  reader.ReadF64Into(out[r].data() + lo, hi - lo));
             }
           }
         }
@@ -1990,22 +1853,27 @@ PsFuture<Ack> PsClient::PushSparseRowsAsync(
     return ReadyFuture<Ack>(
         Status::FailedPrecondition("PushSparseRows requires co-located rows"));
   }
+  std::vector<const SparseVector*> delta_ptrs;
+  delta_ptrs.reserve(deltas.size());
+  for (const SparseVector& d : deltas) delta_ptrs.push_back(&d);
+  return SubmitPushSparseRows(meta, rows, delta_ptrs, compress_counts);
+}
+
+PsFuture<Ack> PsClient::SubmitPushSparseRows(
+    const MatrixMeta& meta, const std::vector<RowRef>& rows,
+    const std::vector<const SparseVector*>& deltas, bool compress_counts) {
   const ColumnPartitioner& part = meta.partitioner;
-  // One request per server: for every row, the slice of its delta that the
-  // server owns.
+  // One request per partition: for every row, the slice of its delta that
+  // the partition holds.
   std::vector<ServerRequest> requests;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = part.RangeBegin(p);
-    uint64_t hi = part.RangeEnd(p);
+  std::vector<std::pair<size_t, size_t>> spans(rows.size());
+  for (int p = 0; p < part.num_partitions(); ++p) {
+    const uint64_t lo = part.RangeBegin(p);
+    const uint64_t hi = part.RangeEnd(p);
     if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparseRowsBatch));
-    writer.WriteU8(compress_counts ? 1 : 0);
-    // Count rows with any entry in this range first.
     size_t rows_here = 0;
-    std::vector<std::pair<size_t, size_t>> spans(rows.size());
     for (size_t r = 0; r < rows.size(); ++r) {
-      const auto& idx = deltas[r].indices();
+      const auto& idx = deltas[r]->indices();
       auto begin_it = std::lower_bound(idx.begin(), idx.end(), lo);
       auto end_it = std::lower_bound(begin_it, idx.end(), hi);
       spans[r] = {static_cast<size_t>(begin_it - idx.begin()),
@@ -2013,31 +1881,14 @@ PsFuture<Ack> PsClient::PushSparseRowsAsync(
       rows_here += spans[r].first != spans[r].second;
     }
     if (rows_here == 0) continue;
-    writer.WriteVarint(rows_here);
+    BufferWriter writer;
+    BeginPushSparse(&writer, rows_here, compress_counts);
     for (size_t r = 0; r < rows.size(); ++r) {
-      auto [sb, se] = spans[r];
+      const auto [sb, se] = spans[r];
       if (sb == se) continue;
-      const auto& idx = deltas[r].indices();
-      const auto& val = deltas[r].values();
-      writer.WriteVarint(rows[r].matrix_id);
-      writer.WriteVarint(rows[r].row);
-      writer.WriteVarint(se - sb);
-      writer.BeginSection(SectionKind::kKeys);
-      uint64_t prev = 0;
-      for (size_t k = sb; k < se; ++k) {
-        writer.WriteVarint(idx[k] - prev);
-        prev = idx[k];
-      }
-      writer.EndSection();
-      if (compress_counts) {
-        for (size_t k = sb; k < se; ++k) {
-          writer.WriteSignedVarint(static_cast<int64_t>(std::llround(val[k])));
-        }
-      } else {
-        writer.BeginSection(SectionKind::kF64Values);
-        for (size_t k = sb; k < se; ++k) writer.WriteF64(val[k]);
-        writer.EndSection();
-      }
+      WritePushSparseRow(&writer, rows[r], deltas[r]->indices().data() + sb,
+                         deltas[r]->values().data() + sb, se - sb,
+                         compress_counts);
     }
     requests.push_back(MakeRouted(meta, p, &writer));
   }
@@ -2074,8 +1925,7 @@ Status PsClient::MatrixInit(int matrix_id, uint32_t row_begin,
   PS2_ASSIGN_OR_RETURN(MatrixMeta meta, master_->GetMeta(matrix_id));
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ServerPartitions(part)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kMatrixInit));
     writer.WriteVarint(matrix_id);

@@ -115,19 +115,16 @@ class PsClient {
 
   // ---- Row access ops (paper Table 1: pull, push, sum, nnz, norm2) ----
 
-  /// Pulls `cols` of a row as a dense vector (default: the whole row).
-  Result<std::vector<double>> PullDense(RowRef ref,
-                                        ColRange cols = ColRange::All());
+  /// Pulls a whole row as a dense vector.
+  Result<std::vector<double>> PullDense(RowRef ref);
 
   /// Pulls the values at `indices` (sorted, unique). This is PS2's sparse
   /// communication: only the needed parameters travel.
   Result<std::vector<double>> PullSparse(RowRef ref,
                                          const std::vector<uint64_t>& indices);
 
-  /// Adds `delta` into the row's `cols` window. ColRange::All() means
-  /// [0, delta.size()); an explicit range must have width() == delta.size().
-  Status PushDense(RowRef ref, const std::vector<double>& delta,
-                   ColRange cols = ColRange::All());
+  /// Adds `delta` (one value per column of the row) into the row.
+  Status PushDense(RowRef ref, const std::vector<double>& delta);
 
   /// Adds a sparse delta into the row (the DCV `add` used for gradients).
   Status PushSparse(RowRef ref, const SparseVector& delta);
@@ -188,12 +185,10 @@ class PsClient {
   // fans its requests out on the I/O pool. Wait()/Get() the future — on the
   // issuing thread — to retrieve the result and charge the traffic.
 
-  PsFuture<std::vector<double>> PullDenseAsync(RowRef ref,
-                                               ColRange cols = ColRange::All());
+  PsFuture<std::vector<double>> PullDenseAsync(RowRef ref);
   PsFuture<std::vector<double>> PullSparseAsync(
       RowRef ref, const std::vector<uint64_t>& indices);
-  PsFuture<Ack> PushDenseAsync(RowRef ref, const std::vector<double>& delta,
-                               ColRange cols = ColRange::All());
+  PsFuture<Ack> PushDenseAsync(RowRef ref, const std::vector<double>& delta);
   PsFuture<Ack> PushSparseAsync(RowRef ref, const SparseVector& delta);
   PsFuture<double> RowAggregateAsync(RowRef ref, RowAggKind kind);
   PsFuture<Ack> ColumnOpAsync(ColOpKind kind, RowRef dst,
@@ -217,7 +212,7 @@ class PsClient {
   /// Pulls each row's FULL vector, where rows may live in DIFFERENT
   /// single-partition matrices (MatrixOptions::home_server — per-key
   /// parameter management, DESIGN.md §13). Requests group by owning server
-  /// over kPullRowsBatch; hot rows fresh in the HotRowCache are served
+  /// over kPullDense; hot rows fresh in the HotRowCache are served
   /// locally, hot-but-stale rows warm the cache from the pull. Metas are
   /// fetched per call, so a batch issued after a relocation tick routes to
   /// the new homes; callers must not relocate mid-batch (trainers tick the
@@ -225,7 +220,7 @@ class PsClient {
   PsFuture<std::vector<std::vector<double>>> PullOwnedRowsAsync(
       const std::vector<RowRef>& rows);
   /// Push counterpart: adds each full-width delta to its row at the owning
-  /// server, grouped by owner over kPushRowsBatch.
+  /// server, grouped by owner over kPushDense.
   PsFuture<Ack> PushOwnedRowsAsync(
       const std::vector<RowRef>& rows,
       const std::vector<std::vector<double>>& deltas);
@@ -386,6 +381,37 @@ class PsClient {
   Status ColumnOpSlowPath(ColOpKind kind, RowRef dst,
                           const std::vector<RowRef>& srcs, double scalar);
 
+  // ---- The one encoder and parser of each row-op family (DESIGN.md §5b).
+  // Multi-row public ops validate and call these; single-row ops call them
+  // with one row after their hot-cache branch. `meta` places every row.
+
+  /// kPullDense: whole rows, one request per partition windowed to its range.
+  PsFuture<std::vector<std::vector<double>>> SubmitPullRows(
+      const MatrixMeta& meta, const std::vector<RowRef>& rows);
+  /// kPullSparse: rows at shared sorted `indices`, one request per partition.
+  PsFuture<std::vector<std::vector<double>>> SubmitPullSparseRows(
+      const MatrixMeta& meta, const std::vector<RowRef>& rows,
+      const std::vector<uint64_t>& indices, bool compress_counts);
+  /// kPushDense: full-width deltas, one request per partition.
+  PsFuture<Ack> SubmitPushRows(
+      const MatrixMeta& meta, const std::vector<RowRef>& rows,
+      const std::vector<const std::vector<double>*>& deltas);
+  /// kPushSparse: sparse deltas split by partition.
+  PsFuture<Ack> SubmitPushSparseRows(
+      const MatrixMeta& meta, const std::vector<RowRef>& rows,
+      const std::vector<const SparseVector*>& deltas, bool compress_counts);
+  /// kDotBatch: per-pair partial dots summed over the servers.
+  PsFuture<std::vector<double>> SubmitDotBatch(
+      const MatrixMeta& meta,
+      const std::vector<std::pair<RowRef, RowRef>>& pairs);
+
+  /// Refreshes a hot row whole from its home server's replica (a one-row
+  /// kPullDense over [0, dim)) and warms the cache with it.
+  PsFuture<std::vector<double>> RefreshHotRow(const MatrixMeta& meta,
+                                              RowRef ref);
+  /// Charges a pull of `values` served by the hot-row cache.
+  void ChargeLocalPull(uint64_t values);
+
   PsMaster* master_;
   PsClientOptions options_;
   /// Resolved filter chain config (options_.filters or ClusterSpec::filters).
@@ -411,5 +437,14 @@ class PsClient {
   Histogram* retries_hist_ = nullptr;
   Histogram* backoff_hist_ = nullptr;
 };
+
+/// The kPushSparse encoder, shared by the client's sparse pushes and the
+/// hotspot reconcile push. BeginPushSparse writes the opcode, the compress
+/// flag and the row count; WritePushSparseRow appends one row: the row, its
+/// `n` delta-encoded columns and values (zigzag-varint counts when
+/// `compress_counts`).
+void BeginPushSparse(BufferWriter* writer, size_t count, bool compress_counts);
+void WritePushSparseRow(BufferWriter* writer, RowRef ref, const uint64_t* idx,
+                        const double* val, size_t n, bool compress_counts);
 
 }  // namespace ps2

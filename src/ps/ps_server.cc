@@ -322,6 +322,19 @@ Result<const double*> PsServer::ReadRowView(int matrix_id, uint32_t row,
       "row is neither a local primary slice nor a replica");
 }
 
+Result<PsServer::RowSlot> PsServer::ResolveRow(uint64_t matrix_id,
+                                                uint64_t row, bool read) {
+  RowSlot slot;
+  slot.row = static_cast<uint32_t>(row);
+  if (read) {
+    slot.replica = FindReplica(static_cast<int>(matrix_id), slot.row);
+    if (slot.replica != nullptr) return slot;
+  }
+  PS2_ASSIGN_OR_RETURN(slot.shard,
+                       FindShard(static_cast<int>(matrix_id), slot.row));
+  return slot;
+}
+
 Result<PsServer::Shard*> PsServer::FindShard(int matrix_id, uint32_t row) {
   auto it = shards_.find(matrix_id);
   if (it == shards_.end()) {
@@ -416,7 +429,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   PS2_TRACE_SPAN("ps.server", PsOpCodeName(op));
   if (metrics_.load(std::memory_order_acquire) == nullptr) {
     Result<HandleResult> result = HandleInternal(header, frame);
-    if (result.ok()) EncodeResponse(header, frame, &*result);
+    if (result.ok()) EncodeResponse(header, &*result);
     return result;
   }
   // Latency/queue-depth histograms sample 1 in 16 requests per thread: two
@@ -430,7 +443,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   if (!sampled) {
     Result<HandleResult> result = HandleInternal(header, frame);
     active_.fetch_sub(1, std::memory_order_relaxed);
-    if (result.ok()) EncodeResponse(header, frame, &*result);
+    if (result.ok()) EncodeResponse(header, &*result);
     return result;
   }
   // Queue depth = requests in flight on this server the moment this one
@@ -447,7 +460,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   handle_us_hists_[i >= 0 && i < kNumPsOpCodes ? i : kNumPsOpCodes]
       ->Record(us);
   queue_depth_hist_->Record(static_cast<double>(depth));
-  if (result.ok()) EncodeResponse(header, frame, &*result);
+  if (result.ok()) EncodeResponse(header, &*result);
   return result;
 }
 
@@ -527,15 +540,12 @@ Result<PsServer::HandleResult> PsServer::HandleInternal(
   return result;
 }
 
-void PsServer::EncodeResponse(const RpcHeader& header, const WireFrame& frame,
-                              HandleResult* out) {
+void PsServer::EncodeResponse(const RpcHeader& header, HandleResult* out) {
   // Response-side filtering (delta/compress only — key caching is
   // request-side). Untracked traffic (control plane, legacy callers) is
   // never filtered: those callers parse the response directly.
   if (!header.tracked() || out->dedup_hit || out->response.empty()) return;
-  const uint8_t opcode = frame.payload.empty() ? 0xff : frame.payload[0];
-  const uint8_t want =
-      filters_.MaskFor(opcode) & (kFilterDelta | kFilterCompress);
+  const uint8_t want = filters_.bits & (kFilterDelta | kFilterCompress);
   if (want == 0) return;
   FilterContext ctx;
   ctx.dir = FilterDir::kServerToClient;
@@ -566,8 +576,6 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
       return HandleRowAgg(&in);
     case PsOpCode::kColumnOp:
       return HandleColumnOp(&in);
-    case PsOpCode::kDotPartial:
-      return HandleDotPartial(&in);
     case PsOpCode::kZip:
       return HandleZip(&in);
     case PsOpCode::kZipAggregate:
@@ -578,14 +586,6 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
       return HandleAxpyBatch(&in);
     case PsOpCode::kMatrixInit:
       return HandleMatrixInit(&in);
-    case PsOpCode::kPullRowsBatch:
-      return HandlePullRowsBatch(&in);
-    case PsOpCode::kPushRowsBatch:
-      return HandlePushRowsBatch(&in);
-    case PsOpCode::kPullSparseRowsBatch:
-      return HandlePullSparseRowsBatch(&in);
-    case PsOpCode::kPushSparseRowsBatch:
-      return HandlePushSparseRowsBatch(&in);
     case PsOpCode::kHotSetUpdate:
       return HandleHotSetUpdate(&in);
     case PsOpCode::kReplicaSync:
@@ -607,182 +607,175 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  // Column window [begin, end), then the row list; each row answers with
+  // its overlap with the window (a replica serves the whole window).
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t end, in->ReadVarint());
-  RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  // An installed replica serves any window of the row, not just this
-  // server's primary range — the bounded-staleness read path (§5d).
-  if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
-                                     static_cast<uint32_t>(row))) {
-    uint64_t hi = std::min(end, replica->dim);
-    HandleResult out;
-    BufferWriter writer;
-    if (begin >= hi) {
-      writer.WriteVarint(0);
-      out.response = writer.Release();
-      return out;
-    }
-    writer.WriteVarint(hi - begin);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(replica->values.data() + begin, hi - begin);
-    writer.EndSection();
-    out.server_ops = hi - begin;
-    out.response_sections = writer.TakeSections();
-    out.response = writer.Release();
-    return out;
-  }
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
-  uint64_t lo = std::max(begin, shard->begin);
-  uint64_t hi = std::min(end, shard->end);
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(2));
   HandleResult out;
   BufferWriter writer;
-  if (lo >= hi) {
-    writer.WriteVarint(0);
-    out.response = writer.Release();
-    return out;
-  }
-  uint64_t n = hi - lo;
-  writer.WriteVarint(n);
-  writer.BeginSection(SectionKind::kF64Values);
-  if (shard->dense()) {
-    writer.WriteF64Span(shard->dense_rows[row].data() + (lo - shard->begin),
-                        n);
-  } else {
-    const auto& map = shard->sparse_rows[row];
-    // Materialize the dense window from the sparse map.
-    std::vector<double> window(n, 0.0);
-    for (auto it = map.lower_bound(lo); it != map.end() && it->first < hi;
-         ++it) {
-      window[it->first - lo] = it->second;
+  writer.WriteVarint(count);
+  std::vector<double> window;  // sparse-storage rows materialize here
+  for (uint64_t i = 0; i < count; ++i) {
+    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+    RecordPull(static_cast<int>(m), static_cast<uint32_t>(r));
+    PS2_ASSIGN_OR_RETURN(RowSlot slot, ResolveRow(m, r, /*read=*/true));
+    const uint64_t lo = std::max(begin, slot.begin());
+    const uint64_t hi = std::min(end, slot.end());
+    const uint64_t n = lo < hi ? hi - lo : 0;
+    writer.WriteVarint(n);
+    if (n == 0) continue;
+    writer.BeginSection(SectionKind::kF64Values);
+    if (!slot.sparse()) {
+      writer.WriteF64Span(slot.Dense() + (lo - slot.begin()), n);
+    } else {
+      window.assign(n, 0.0);
+      const auto& map = slot.shard->sparse_rows[slot.row];
+      for (auto it = map.lower_bound(lo); it != map.end() && it->first < hi;
+           ++it) {
+        window[it->first - lo] = it->second;
+      }
+      writer.WriteF64Span(window.data(), n);
     }
-    writer.WriteF64Span(window.data(), window.size());
+    writer.EndSection();
+    out.server_ops += n;
   }
-  writer.EndSection();
-  out.server_ops = n;
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount());
-  RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
-                                     static_cast<uint32_t>(row))) {
-    // Replica serves any index of the row (no partition-range check).
-    HandleResult out;
-    BufferWriter writer;
-    writer.WriteVarint(n);
-    writer.BeginSection(SectionKind::kF64Values);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-      prev += delta;
-      if (prev >= replica->dim) {
-        return Status::OutOfRange("pull index outside replica");
-      }
-      writer.WriteF64(replica->values[prev]);
-    }
-    writer.EndSection();
-    out.server_ops = n;
-    out.response_sections = writer.TakeSections();
-    out.response = writer.Release();
-    return out;
+  // Shared delta-encoded index list, then the row list; response is
+  // rows x indices values (row-major). With compress=1, values travel as
+  // zigzag varints of llround(value) — PS2's message compression for
+  // integer count matrices (LDA).
+  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount());
+  std::vector<uint64_t> cols(n_idx);
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < n_idx; ++i) {
+    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
+    prev += delta;
+    cols[i] = prev;
   }
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
+  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(2));
   HandleResult out;
   BufferWriter writer;
-  writer.WriteVarint(n);
-  writer.BeginSection(SectionKind::kF64Values);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    uint64_t col = prev + delta;
-    prev = col;
-    if (col < shard->begin || col >= shard->end) {
-      return Status::OutOfRange("pull index outside server range");
+  writer.WriteVarint(n_rows);
+  std::vector<double> values(n_idx);
+  for (uint64_t r = 0; r < n_rows; ++r) {
+    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+    RecordPull(static_cast<int>(m), static_cast<uint32_t>(row));
+    PS2_ASSIGN_OR_RETURN(RowSlot slot, ResolveRow(m, row, /*read=*/true));
+    for (uint64_t i = 0; i < n_idx; ++i) {
+      if (cols[i] < slot.begin() || cols[i] >= slot.end()) {
+        return Status::OutOfRange(slot.replica != nullptr
+                                      ? "pull index outside replica"
+                                      : "pull index outside server range");
+      }
+      values[i] = slot.Get(cols[i]);
     }
-    double value;
-    if (shard->dense()) {
-      value = shard->dense_rows[row][col - shard->begin];
+    if (compress != 0) {
+      for (uint64_t i = 0; i < n_idx; ++i) {
+        writer.WriteSignedVarint(static_cast<int64_t>(std::llround(values[i])));
+      }
     } else {
-      const auto& map = shard->sparse_rows[row];
-      auto it = map.find(col);
-      value = it == map.end() ? 0.0 : it->second;
+      writer.BeginSection(SectionKind::kF64Values);
+      writer.WriteF64Span(values.data(), n_idx);
+      writer.EndSection();
     }
-    writer.WriteF64(value);
+    out.server_ops += n_idx;
   }
-  writer.EndSection();
-  out.server_ops = n;
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  // Window start, then per row its n values for columns [begin, begin + n).
+  // Every row is parsed and validated before any is applied: a rejected
+  // request is not recorded for dedup, so it must leave no partial mutation.
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
-  if (begin < shard->begin || begin + n > shard->end) {
-    return Status::OutOfRange("push window outside server range");
-  }
-  PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(n));
-  TouchRowLocked(shard, row);
-  if (shard->dense()) {
-    double* dst = shard->dense_rows[row].data() + (begin - shard->begin);
-    for (uint64_t i = 0; i < n; ++i) dst[i] += values[i];
-  } else {
-    for (uint64_t i = 0; i < n; ++i) {
-      if (values[i] != 0.0) shard->sparse_rows[row][begin + i] += values[i];
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(3));
+  struct RowDelta {
+    RowSlot slot;
+    std::vector<double> values;
+  };
+  std::vector<RowDelta> rows;
+  rows.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(RowSlot slot, ResolveRow(m, r, /*read=*/false));
+    if (begin < slot.begin() || begin > slot.end() ||
+        n > slot.end() - begin) {
+      return Status::OutOfRange("push window outside server range");
     }
+    PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(n));
+    rows.push_back({slot, std::move(values)});
   }
   HandleResult out;
-  out.server_ops = n;
+  for (const RowDelta& d : rows) {
+    RecordPush(d.slot.shard->meta.id, d.slot.row);
+    TouchRowLocked(d.slot.shard, d.slot.row);
+    const uint64_t n = d.values.size();
+    for (uint64_t c = 0; c < n; ++c) d.slot.Add(begin + c, d.values[c]);
+    out.server_ops += n;
+  }
   return out;
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount());
-  RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
-  std::vector<uint64_t> cols(n);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    cols[i] = prev;
-    if (prev < shard->begin || prev >= shard->end) {
-      return Status::OutOfRange("push index outside server range");
+  // Validate-then-apply, as in HandlePushDense.
+  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
+  struct RowDelta {
+    RowSlot slot;
+    size_t first = 0;  ///< this row's entries in cols/vals
+    size_t nnz = 0;
+  };
+  std::vector<RowDelta> rows;
+  rows.reserve(n_rows);
+  std::vector<uint64_t> cols;
+  std::vector<double> vals;
+  for (uint64_t r = 0; r < n_rows; ++r) {
+    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
+    PS2_ASSIGN_OR_RETURN(RowSlot slot, ResolveRow(m, row, /*read=*/false));
+    rows.push_back({slot, cols.size(), nnz});
+    uint64_t prev = 0;
+    for (uint64_t i = 0; i < nnz; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
+      prev += delta;
+      if (prev < slot.begin() || prev >= slot.end()) {
+        return Status::OutOfRange("push index outside server range");
+      }
+      cols.push_back(prev);
     }
-  }
-  TouchRowLocked(shard, row);
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-    if (shard->dense()) {
-      shard->dense_rows[row][cols[i] - shard->begin] += v;
-    } else if (v != 0.0) {
-      shard->sparse_rows[row][cols[i]] += v;
+    for (uint64_t i = 0; i < nnz; ++i) {
+      if (compress != 0) {
+        PS2_ASSIGN_OR_RETURN(int64_t iv, in->ReadSignedVarint());
+        vals.push_back(static_cast<double>(iv));
+      } else {
+        PS2_ASSIGN_OR_RETURN(double fv, in->ReadF64());
+        vals.push_back(fv);
+      }
     }
   }
   HandleResult out;
-  out.server_ops = n;
+  for (const RowDelta& d : rows) {
+    RecordPush(d.slot.shard->meta.id, d.slot.row);
+    TouchRowLocked(d.slot.shard, d.slot.row);
+    for (size_t k = d.first; k < d.first + d.nnz; ++k) {
+      d.slot.Add(cols[k], vals[k]);
+    }
+    out.server_ops += d.nnz;
+  }
   return out;
 }
 
@@ -925,41 +918,6 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOp(BufferReader* in) {
     default:
       return Status::InvalidArgument("unknown column op kind");
   }
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleDotPartial(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t mb, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t rb, in->ReadVarint());
-  // Either operand may be a hot-row replica; anchor the window on whichever
-  // one is a local primary slice and read the other through ReadRowView.
-  uint64_t width = 0, begin = 0;
-  const double* a = nullptr;
-  const double* b = nullptr;
-  Result<double*> a_primary =
-      DenseRow(static_cast<int>(ma), static_cast<uint32_t>(ra), &width, &begin);
-  if (a_primary.ok()) {
-    a = *a_primary;
-    PS2_ASSIGN_OR_RETURN(b, ReadRowView(static_cast<int>(mb),
-                                        static_cast<uint32_t>(rb), begin,
-                                        width));
-  } else {
-    PS2_ASSIGN_OR_RETURN(double* bp, DenseRow(static_cast<int>(mb),
-                                              static_cast<uint32_t>(rb), &width,
-                                              &begin));
-    b = bp;
-    PS2_ASSIGN_OR_RETURN(a, ReadRowView(static_cast<int>(ma),
-                                        static_cast<uint32_t>(ra), begin,
-                                        width));
-  }
-  double partial = 0.0;
-  HandleResult out;
-  out.server_ops = kernels::Dot(a, b, width, &partial);
-  BufferWriter writer;
-  writer.WriteF64(partial);
-  out.response = writer.Release();
   return out;
 }
 
@@ -1121,144 +1079,6 @@ Result<PsServer::HandleResult> PsServer::HandleMatrixInit(BufferReader* in) {
     }
   }
   out.server_ops = (row_end - row_begin) * shard.width();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePullRowsBatch(
-    BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-    RecordPull(static_cast<int>(m), static_cast<uint32_t>(r));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w,
-                                             &b));
-    writer.WriteVarint(w);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(p, w);
-    writer.EndSection();
-    out.server_ops += w;
-  }
-  out.response_sections = writer.TakeSections();
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushRowsBatch(
-    BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w,
-                                             &b));
-    if (n != w) return Status::OutOfRange("row push width mismatch");
-    PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(w));
-    TouchRowIdLocked(static_cast<int>(m), r);
-    for (uint64_t c = 0; c < w; ++c) p[c] += values[c];
-    out.server_ops += w;
-  }
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
-    BufferReader* in) {
-  // Shared delta-encoded index list, then the row list; response is
-  // rows x indices values (row-major). With compress=1, values travel as
-  // zigzag varints of llround(value) — PS2's message compression for
-  // integer count matrices (LDA).
-  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount());
-  std::vector<uint64_t> cols(n_idx);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n_idx; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    cols[i] = prev;
-  }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadVarint());
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(n_rows);
-  std::vector<double> values(n_idx);
-  for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    RecordPull(static_cast<int>(m), static_cast<uint32_t>(row));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(row), &w,
-                                             &b));
-    for (uint64_t i = 0; i < n_idx; ++i) {
-      if (cols[i] < b || cols[i] >= b + w) {
-        return Status::OutOfRange("pull index outside server range");
-      }
-      values[i] = p[cols[i] - b];
-    }
-    if (compress != 0) {
-      for (uint64_t i = 0; i < n_idx; ++i) {
-        writer.WriteSignedVarint(static_cast<int64_t>(std::llround(values[i])));
-      }
-    } else {
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(values.data(), n_idx);
-      writer.EndSection();
-    }
-    out.server_ops += n_idx;
-  }
-  out.response_sections = writer.TakeSections();
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
-    BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadVarint());
-  HandleResult out;
-  for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
-    RecordPush(static_cast<int>(m), static_cast<uint32_t>(row));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(row), &w,
-                                             &b));
-    uint64_t prev = 0;
-    std::vector<uint64_t> cols(nnz);
-    for (uint64_t i = 0; i < nnz; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-      prev += delta;
-      if (prev < b || prev >= b + w) {
-        return Status::OutOfRange("push index outside server range");
-      }
-      cols[i] = prev - b;
-    }
-    TouchRowIdLocked(static_cast<int>(m), row);
-    for (uint64_t i = 0; i < nnz; ++i) {
-      double v;
-      if (compress != 0) {
-        PS2_ASSIGN_OR_RETURN(int64_t iv, in->ReadSignedVarint());
-        v = static_cast<double>(iv);
-      } else {
-        PS2_ASSIGN_OR_RETURN(double fv, in->ReadF64());
-        v = fv;
-      }
-      p[cols[i]] += v;
-    }
-    out.server_ops += nnz;
-  }
   return out;
 }
 

@@ -347,8 +347,7 @@ class PsServer {
                                       const WireFrame& frame);
   /// Applies response-side filters (outside mu_; the response is private to
   /// this call).
-  void EncodeResponse(const RpcHeader& header, const WireFrame& frame,
-                      HandleResult* out);
+  void EncodeResponse(const RpcHeader& header, HandleResult* out);
 
   Result<Shard*> FindShard(int matrix_id, uint32_t row);
   Result<double*> DenseRow(int matrix_id, uint32_t row, uint64_t* width,
@@ -372,22 +371,56 @@ class PsServer {
   void TouchRowIdLocked(int matrix_id, uint64_t row);
   void TouchAllRowsLocked();
 
+  /// One row of a pull or push request, resolved on this server. A read
+  /// prefers an installed replica, which serves every column of the row;
+  /// otherwise (and always for a write) the row is the primary slice, in
+  /// either storage layout.
+  struct RowSlot {
+    const Replica* replica = nullptr;
+    Shard* shard = nullptr;  ///< set when replica == nullptr
+    uint32_t row = 0;
+
+    /// Columns [begin(), end()) this slot holds.
+    uint64_t begin() const { return replica != nullptr ? 0 : shard->begin; }
+    uint64_t end() const {
+      return replica != nullptr ? replica->dim : shard->end;
+    }
+    bool sparse() const { return replica == nullptr && !shard->dense(); }
+    /// Contiguous values from begin() (not for sparse storage).
+    const double* Dense() const {
+      return replica != nullptr ? replica->values.data()
+                                : shard->dense_rows[row].data();
+    }
+    /// Value at global column `col` in [begin(), end()).
+    double Get(uint64_t col) const {
+      if (!sparse()) return Dense()[col - begin()];
+      const auto& map = shard->sparse_rows[row];
+      auto it = map.find(col);
+      return it == map.end() ? 0.0 : it->second;
+    }
+    /// Adds `v` at global column `col` of the primary slice.
+    void Add(uint64_t col, double v) const {
+      if (shard->dense()) {
+        shard->dense_rows[row][col - shard->begin] += v;
+      } else if (v != 0.0) {
+        shard->sparse_rows[row][col] += v;
+      }
+    }
+  };
+  /// The one row lookup of the pull/push handlers (`read` admits replicas).
+  Result<RowSlot> ResolveRow(uint64_t matrix_id, uint64_t row, bool read);
+
   Result<HandleResult> HandlePullDense(BufferReader* in);
   Result<HandleResult> HandlePullSparse(BufferReader* in);
   Result<HandleResult> HandlePushDense(BufferReader* in);
   Result<HandleResult> HandlePushSparse(BufferReader* in);
   Result<HandleResult> HandleRowAgg(BufferReader* in);
   Result<HandleResult> HandleColumnOp(BufferReader* in);
-  Result<HandleResult> HandleDotPartial(BufferReader* in);
   Result<HandleResult> HandleZip(BufferReader* in);
   Result<HandleResult> HandleZipAggregate(BufferReader* in);
   Result<HandleResult> HandleDotBatch(BufferReader* in);
   Result<HandleResult> HandleAxpyBatch(BufferReader* in);
   Result<HandleResult> HandleMatrixInit(BufferReader* in);
-  Result<HandleResult> HandlePullRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePushRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePullSparseRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePushSparseRowsBatch(BufferReader* in);
   Result<HandleResult> HandleHotSetUpdate(BufferReader* in);
   Result<HandleResult> HandleReplicaSync(BufferReader* in);
   Result<HandleResult> HandleHotPush(BufferReader* in);

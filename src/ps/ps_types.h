@@ -30,33 +30,6 @@ struct MatrixMeta {
   uint64_t routing_epoch = 0;
 };
 
-/// \brief A half-open column window [begin, end) of a row.
-///
-/// The default-constructed range means "the whole row" — the row's dimension
-/// is substituted at the call site via Resolve(). This replaces the old
-/// `PsClient::kWholeRow = ~0ULL` sentinel and the loose `(begin, end)`
-/// argument pairs.
-struct ColRange {
-  constexpr ColRange() = default;  ///< whole row
-  constexpr ColRange(uint64_t b, uint64_t e) : begin(b), end(e), whole(false) {}
-
-  static constexpr ColRange All() { return ColRange(); }
-  static constexpr ColRange Of(uint64_t begin, uint64_t end) {
-    return ColRange(begin, end);
-  }
-
-  /// Concrete [begin, end) for a row of `dim` columns.
-  constexpr ColRange Resolve(uint64_t dim) const {
-    return whole ? ColRange(0, dim) : *this;
-  }
-
-  constexpr uint64_t width() const { return end - begin; }
-
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  bool whole = true;
-};
-
 /// \brief Identifies one row (one DCV) of a distributed matrix.
 struct RowRef {
   int matrix_id = -1;
@@ -82,36 +55,35 @@ enum class ColOpKind : uint8_t {
   kScale = 7  ///< dst *= scalar
 };
 
-/// \brief Wire opcodes understood by PsServer::Handle.
+/// \brief Wire opcodes understood by PsServer::Handle (DESIGN.md §5b).
+///
+/// The row-op families (pull, sparse pull, push, sparse push, dot) each have
+/// ONE wire format, and it is a batch: a single-row client op travels as a
+/// batch of one row.
 enum class PsOpCode : uint8_t {
-  kPullDense = 0,
-  kPullSparse = 1,
-  kPushDense = 2,
-  kPushSparse = 3,
+  kPullDense = 0,    ///< column window of many rows
+  kPullSparse = 1,   ///< many rows at shared indices
+  kPushDense = 2,    ///< many dense row deltas, each the server's whole slice
+  kPushSparse = 3,   ///< many per-row sparse deltas
   kRowAgg = 4,
   kColumnOp = 5,
-  kDotPartial = 6,
-  kZip = 7,
-  kZipAggregate = 8,
-  kDotBatch = 9,    ///< many row-pair partial dots in one round (DeepWalk)
-  kAxpyBatch = 10,  ///< many dst += alpha*src updates in one round (DeepWalk)
-  kMatrixInit = 11,    ///< hash-random init of whole-matrix row ranges
-  kPullRowsBatch = 12,       ///< many full-row pulls in one round
-  kPushRowsBatch = 13,       ///< many dense row (delta) pushes in one round
-  kPullSparseRowsBatch = 14, ///< many rows at shared indices, one round
-  kPushSparseRowsBatch = 15, ///< many per-row sparse deltas, one round
+  kZip = 6,
+  kZipAggregate = 7,
+  kDotBatch = 8,     ///< many row-pair partial dots (Dcv::Dot is one pair)
+  kAxpyBatch = 9,    ///< many dst += alpha*src updates in one round (DeepWalk)
+  kMatrixInit = 10,  ///< hash-random init of whole-matrix row ranges
   // Hot-parameter management (DESIGN.md §5d).
-  kHotSetUpdate = 16,  ///< master installs the replicated hot-row set
-  kReplicaSync = 17,   ///< collect pending deltas / install fresh values
-  kHotPush = 18,       ///< sparse delta accumulated into a local replica
+  kHotSetUpdate = 11,  ///< master installs the replicated hot-row set
+  kReplicaSync = 12,   ///< collect pending deltas / install fresh values
+  kHotPush = 13,       ///< sparse delta accumulated into a local replica
   // Online serving tier (DESIGN.md §10).
-  kServingPull = 19,  ///< batched read from a published snapshot epoch
+  kServingPull = 14,  ///< batched read from a published snapshot epoch
   // Consistency controller (DESIGN.md §11).
-  kClockAdvance = 20,  ///< worker advances its clock in the server's vector
+  kClockAdvance = 15,  ///< worker advances its clock in the server's vector
   // Elastic membership / online resharding (DESIGN.md §12).
-  kRangeExtract = 21,   ///< read one matrix's column range off the old owner
-  kRangeMigrate = 22,   ///< stage an extracted range on the new owner
-  kRoutingUpdate = 23,  ///< fence / commit staged ranges / bump routing epoch
+  kRangeExtract = 16,   ///< read one matrix's column range off the old owner
+  kRangeMigrate = 17,   ///< stage an extracted range on the new owner
+  kRoutingUpdate = 18,  ///< fence / commit staged ranges / bump routing epoch
 };
 
 /// Stable short name of an opcode for metric tags and trace spans
@@ -125,16 +97,11 @@ constexpr const char* PsOpCodeName(PsOpCode op) {
     case PsOpCode::kPushSparse: return "push_sparse";
     case PsOpCode::kRowAgg: return "row_agg";
     case PsOpCode::kColumnOp: return "column_op";
-    case PsOpCode::kDotPartial: return "dot_partial";
     case PsOpCode::kZip: return "zip";
     case PsOpCode::kZipAggregate: return "zip_aggregate";
     case PsOpCode::kDotBatch: return "dot_batch";
     case PsOpCode::kAxpyBatch: return "axpy_batch";
     case PsOpCode::kMatrixInit: return "matrix_init";
-    case PsOpCode::kPullRowsBatch: return "pull_rows_batch";
-    case PsOpCode::kPushRowsBatch: return "push_rows_batch";
-    case PsOpCode::kPullSparseRowsBatch: return "pull_sparse_rows_batch";
-    case PsOpCode::kPushSparseRowsBatch: return "push_sparse_rows_batch";
     case PsOpCode::kHotSetUpdate: return "hot_set_update";
     case PsOpCode::kReplicaSync: return "replica_sync";
     case PsOpCode::kHotPush: return "hot_push";
@@ -148,7 +115,10 @@ constexpr const char* PsOpCodeName(PsOpCode op) {
 }
 
 /// Number of distinct PsOpCode values (for per-opcode metric tables).
-constexpr int kNumPsOpCodes = 24;
+constexpr int kNumPsOpCodes = 19;
+static_assert(kNumPsOpCodes ==
+                  static_cast<int>(PsOpCode::kRoutingUpdate) + 1,
+              "kNumPsOpCodes must track the last PsOpCode enumerator");
 
 /// True for opcodes whose handlers mutate server state. Retrying one of
 /// these after an ambiguous failure (a lost *response*) would double-apply
@@ -162,8 +132,6 @@ constexpr bool IsMutatingOpcode(PsOpCode op) {
     case PsOpCode::kZip:
     case PsOpCode::kAxpyBatch:
     case PsOpCode::kMatrixInit:
-    case PsOpCode::kPushRowsBatch:
-    case PsOpCode::kPushSparseRowsBatch:
     case PsOpCode::kHotSetUpdate:
     case PsOpCode::kReplicaSync:
     case PsOpCode::kHotPush:
@@ -180,11 +148,8 @@ constexpr bool IsMutatingOpcode(PsOpCode op) {
     case PsOpCode::kPullDense:
     case PsOpCode::kPullSparse:
     case PsOpCode::kRowAgg:
-    case PsOpCode::kDotPartial:
     case PsOpCode::kZipAggregate:
     case PsOpCode::kDotBatch:
-    case PsOpCode::kPullRowsBatch:
-    case PsOpCode::kPullSparseRowsBatch:
     case PsOpCode::kServingPull:
     case PsOpCode::kRangeExtract:
       return false;

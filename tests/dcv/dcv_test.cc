@@ -144,6 +144,22 @@ TEST_F(DcvTest, DotOfCoLocatedVectors) {
   EXPECT_DOUBLE_EQ(*a.Dot(b), 600.0);
 }
 
+TEST_F(DcvTest, DotEqualsOnePairDotBatch) {
+  Dcv a = *ctx_->Dense(100, 4);
+  Dcv b = *ctx_->Derive(a);
+  std::vector<double> av(100), bv(100);
+  for (size_t i = 0; i < 100; ++i) {
+    av[i] = 0.1 * static_cast<double>(i) - 3.0;
+    bv[i] = 1.0 / static_cast<double>(i + 1);
+  }
+  ASSERT_TRUE(a.Set(av).ok());
+  ASSERT_TRUE(b.Set(bv).ok());
+  std::vector<double> batch =
+      *ctx_->client()->DotBatchAsync({{a.ref(), b.ref()}}).Get();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(*a.Dot(b), batch[0]);  // bit-identical: the same wire op
+}
+
 TEST_F(DcvTest, ZipAppliesUdfOverAllVectors) {
   Dcv w = *ctx_->Dense(50, 4);
   Dcv g = *ctx_->Derive(w);

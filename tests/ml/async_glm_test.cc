@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "data/classification_gen.h"
 
 namespace ps2 {
@@ -23,8 +25,12 @@ class AsyncGlmTest : public ::testing::Test {
     ctx_ = std::make_unique<DcvContext>(cluster_.get());
   }
 
-  GlmOptions Options() {
+  /// `steps` local SGD steps per stage: SSP with slack steps - 1 (one step
+  /// per stage is the default BSP policy).
+  GlmOptions Options(int steps) {
     GlmOptions options;
+    options.consistency =
+        *ConsistencyPolicy::Parse("ssp:" + std::to_string(steps - 1));
     options.dim = 20000;
     options.optimizer.kind = OptimizerKind::kSgd;
     options.optimizer.learning_rate = 10.0;
@@ -39,15 +45,15 @@ class AsyncGlmTest : public ::testing::Test {
 };
 
 TEST_F(AsyncGlmTest, Converges) {
-  TrainReport report = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 4);
+  TrainReport report = *TrainGlmPs2Relaxed(ctx_.get(), data_, Options(4));
   EXPECT_EQ(report.system, "PS2-AsyncSGD");
   EXPECT_LT(report.final_loss, 0.6);
 }
 
 TEST_F(AsyncGlmTest, MoreLocalStepsFewerBarriers) {
-  TrainReport sync = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 1);
+  TrainReport sync = *TrainGlmPs2Relaxed(ctx_.get(), data_, Options(1));
   DcvContext fresh(cluster_.get());
-  TrainReport async = *TrainGlmPs2Async(&fresh, data_, Options(), 8);
+  TrainReport async = *TrainGlmPs2Relaxed(&fresh, data_, Options(8));
   // Same number of SGD steps, an eighth of the stages.
   EXPECT_EQ(sync.curve.size(), 48u);
   EXPECT_EQ(async.curve.size(), 6u);
@@ -55,20 +61,17 @@ TEST_F(AsyncGlmTest, MoreLocalStepsFewerBarriers) {
 }
 
 TEST_F(AsyncGlmTest, StalenessDegradesGracefullyNotCatastrophically) {
-  TrainReport sync = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 1);
+  TrainReport sync = *TrainGlmPs2Relaxed(ctx_.get(), data_, Options(1));
   DcvContext fresh(cluster_.get());
-  TrainReport stale = *TrainGlmPs2Async(&fresh, data_, Options(), 16);
+  TrainReport stale = *TrainGlmPs2Relaxed(&fresh, data_, Options(16));
   EXPECT_LT(stale.final_loss, 0.68);                 // still learns
   EXPECT_LT(sync.final_loss, stale.final_loss + 0.15);  // sync not worse
 }
 
 TEST_F(AsyncGlmTest, RejectsBadArguments) {
-  EXPECT_TRUE(TrainGlmPs2Async(ctx_.get(), data_, Options(), 0)
-                  .status()
-                  .IsInvalidArgument());
-  GlmOptions adam = Options();
+  GlmOptions adam = Options(2);
   adam.optimizer.kind = OptimizerKind::kAdam;
-  EXPECT_TRUE(TrainGlmPs2Async(ctx_.get(), data_, adam, 2)
+  EXPECT_TRUE(TrainGlmPs2Relaxed(ctx_.get(), data_, adam)
                   .status()
                   .IsNotImplemented());
 }

@@ -44,8 +44,6 @@ TEST_F(PsAsyncTest, AsyncPullMatchesSync) {
   for (size_t i = 0; i < 100; ++i) values[i] = static_cast<double>(i);
   ASSERT_TRUE(client_->PushDenseAsync(w, values).Wait().ok());
   EXPECT_EQ(*client_->PullDenseAsync(w).Get(), *client_->PullDense(w));
-  EXPECT_EQ(*client_->PullDenseAsync(w, ColRange::Of(30, 70)).Get(),
-            *client_->PullDense(w, ColRange::Of(30, 70)));
 }
 
 TEST_F(PsAsyncTest, FutureReadyAfterWaitAndGetConsumesValue) {

@@ -42,23 +42,6 @@ TEST_F(PsClientTest, PushPullDenseAcrossServers) {
   EXPECT_EQ(pulled, values);
 }
 
-TEST_F(PsClientTest, PullWindow) {
-  RowRef w = NewMatrix(100);
-  std::vector<double> values(100, 1.0);
-  ASSERT_TRUE(client_->PushDense(w, values).ok());
-  // A window straddling server boundaries (100/3 -> 34/34/32).
-  std::vector<double> window = *client_->PullDense(w, ColRange::Of(30, 70));
-  EXPECT_EQ(window.size(), 40u);
-  for (double v : window) EXPECT_EQ(v, 1.0);
-}
-
-TEST_F(PsClientTest, PushWindowWithOffset) {
-  RowRef w = NewMatrix(100);
-  ASSERT_TRUE(client_->PushDense(w, {5.0, 6.0}, ColRange::Of(50, 52)).ok());
-  std::vector<double> pulled = *client_->PullDense(w, ColRange::Of(49, 53));
-  EXPECT_EQ(pulled, (std::vector<double>{0, 5, 6, 0}));
-}
-
 TEST_F(PsClientTest, SparsePullReturnsRequestedIndices) {
   RowRef w = NewMatrix(1000);
   SparseVector delta({3, 400, 999}, {1.0, 2.0, 3.0});

@@ -6,6 +6,8 @@
 
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
+#include "net/filter_config.h"
+#include "net/message.h"
 #include "ps/partitioner.h"
 #include "ps/ps_server.h"
 
@@ -55,12 +57,11 @@ TEST_F(PsFuzzTest, RandomBytesNeverCrash) {
 
 TEST_F(PsFuzzTest, ValidOpcodeGarbageBodyNeverCrashes) {
   Rng rng(0xF0221);
-  constexpr auto kLastOpcode = static_cast<uint8_t>(PsOpCode::kRoutingUpdate);
-  for (uint8_t opcode = 0; opcode <= kLastOpcode; ++opcode) {
+  for (int opcode = 0; opcode < kNumPsOpCodes; ++opcode) {
     for (int trial = 0; trial < 500; ++trial) {
       size_t len = rng.NextUint64(48);
       std::vector<uint8_t> request(1 + len);
-      request[0] = opcode;
+      request[0] = static_cast<uint8_t>(opcode);
       for (size_t i = 1; i < request.size(); ++i) {
         request[i] = static_cast<uint8_t>(rng.Next());
       }
@@ -74,14 +75,83 @@ TEST_F(PsFuzzTest, EmptyRequestRejected) {
   EXPECT_FALSE(server_.Handle({}).ok());
 }
 
-std::vector<uint8_t> PullRow0Request() {
+/// One-row kPullDense of (matrix 0, `row`) over all 64 columns.
+std::vector<uint8_t> PullRowRequest(uint32_t row) {
   BufferWriter writer;
   writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
   writer.WriteVarint(0);
-  writer.WriteVarint(0);
-  writer.WriteVarint(0);
   writer.WriteVarint(64);
+  writer.WriteVarint(1);
+  writer.WriteVarint(0);
+  writer.WriteVarint(row);
   return writer.Release();
+}
+
+/// Valid requests of every row-op family over rows {0} (one-row) or {0, 1}
+/// (two-row) of matrix 0, each row touching column 5.
+std::vector<std::vector<uint8_t>> RowFamilyRequests(size_t num_rows) {
+  auto rows = [num_rows](BufferWriter* w) {
+    for (uint32_t r = 0; r < num_rows; ++r) {
+      w->WriteVarint(0);
+      w->WriteVarint(r);
+    }
+  };
+  std::vector<std::vector<uint8_t>> out;
+  BufferWriter pull;
+  pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  pull.WriteVarint(0);
+  pull.WriteVarint(64);
+  pull.WriteVarint(num_rows);
+  rows(&pull);
+  out.push_back(pull.Release());
+  BufferWriter pull_sparse;
+  pull_sparse.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
+  pull_sparse.WriteU8(0);
+  pull_sparse.WriteVarint(1);
+  pull_sparse.WriteVarint(5);
+  pull_sparse.WriteVarint(num_rows);
+  rows(&pull_sparse);
+  out.push_back(pull_sparse.Release());
+  BufferWriter push;
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  push.WriteVarint(5);  // window from column 5
+  push.WriteVarint(num_rows);
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    push.WriteVarint(0);
+    push.WriteVarint(r);
+    push.WriteVarint(1);
+    push.WriteF64(1.0);
+  }
+  out.push_back(push.Release());
+  for (uint8_t compress : {0, 1}) {
+    BufferWriter push_sparse;
+    push_sparse.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+    push_sparse.WriteU8(compress);
+    push_sparse.WriteVarint(num_rows);
+    for (uint32_t r = 0; r < num_rows; ++r) {
+      push_sparse.WriteVarint(0);
+      push_sparse.WriteVarint(r);
+      push_sparse.WriteVarint(1);
+      push_sparse.WriteVarint(5);
+      if (compress != 0) {
+        push_sparse.WriteSignedVarint(3);
+      } else {
+        push_sparse.WriteF64(1.0);
+      }
+    }
+    out.push_back(push_sparse.Release());
+  }
+  BufferWriter dot;
+  dot.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  dot.WriteVarint(num_rows);
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    dot.WriteVarint(0);
+    dot.WriteVarint(r);
+    dot.WriteVarint(0);
+    dot.WriteVarint(3);
+  }
+  out.push_back(dot.Release());
+  return out;
 }
 
 /// A zip of the fixture's UDF over row 0 whose argument list claims
@@ -100,32 +170,47 @@ std::vector<uint8_t> ZipRow0Request(uint64_t n_args,
 }
 
 TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
-  // Build valid requests, then replay every truncation of each. The zip's
-  // truncations cut into its f64 argument list too, and none may run the
-  // UDF (which would change row 0).
-  BufferWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  writer.WriteVarint(0);
-  writer.WriteVarint(1);
-  writer.WriteVarint(0);
-  writer.WriteVarint(64);
-  const std::vector<uint8_t> pull = writer.Release();
-  const std::vector<uint8_t> zip = ZipRow0Request(2, {2.0, 0.5});
-  const std::vector<uint8_t> row0 = server_.Handle(PullRow0Request())->response;
-  for (const std::vector<uint8_t>& full : {pull, zip}) {
+  // Build valid requests, then replay every truncation of each: one- and
+  // two-row requests of every row-op family, and a zip whose truncations
+  // cut into its f64 argument list too. None may mutate rows 0 and 1 — a
+  // two-row push cut inside its second row must not apply its first.
+  std::vector<std::vector<uint8_t>> requests = RowFamilyRequests(1);
+  for (std::vector<uint8_t>& r : RowFamilyRequests(2)) {
+    requests.push_back(std::move(r));
+  }
+  requests.push_back(ZipRow0Request(2, {2.0, 0.5}));
+  const std::vector<uint8_t> row0 = server_.Handle(PullRowRequest(0))->response;
+  const std::vector<uint8_t> row1 = server_.Handle(PullRowRequest(1))->response;
+  for (const std::vector<uint8_t>& full : requests) {
     for (size_t len = 0; len < full.size(); ++len) {
       std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
-      EXPECT_FALSE(server_.Handle(truncated).ok()) << "length " << len;
+      EXPECT_FALSE(server_.Handle(truncated).ok())
+          << "opcode " << int{full[0]} << " length " << len;
     }
   }
   // So is an argument count the remaining bytes cannot hold.
   const uint64_t huge = uint64_t{1} << 60;
   EXPECT_TRUE(
       server_.Handle(ZipRow0Request(huge, {2.0, 0.5})).status().IsOutOfRange());
-  EXPECT_EQ(server_.Handle(PullRow0Request())->response, row0);
-  EXPECT_TRUE(server_.Handle(pull).ok());
-  EXPECT_TRUE(server_.Handle(zip).ok());
-  EXPECT_NE(server_.Handle(PullRow0Request())->response, row0);
+  EXPECT_EQ(server_.Handle(PullRowRequest(0))->response, row0);
+  EXPECT_EQ(server_.Handle(PullRowRequest(1))->response, row1);
+  for (const std::vector<uint8_t>& full : requests) {
+    EXPECT_TRUE(server_.Handle(full).ok()) << "opcode " << int{full[0]};
+  }
+  EXPECT_NE(server_.Handle(PullRowRequest(0))->response, row0);
+  EXPECT_NE(server_.Handle(PullRowRequest(1))->response, row1);
+}
+
+TEST_F(PsFuzzTest, CompressedFrameWithHugeRawLengthRejected) {
+  // A compress-filtered frame claiming 2^50 decompressed bytes over an
+  // empty blob must fail as a truncated stream, not allocate the claim.
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  writer.WriteVarint(uint64_t{1} << 50);
+  const std::vector<uint8_t> payload = writer.Release();
+  EXPECT_FALSE(
+      server_.Handle(RpcHeader{}, WireFrame{Slice(payload), kFilterCompress})
+          .ok());
 }
 
 TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {

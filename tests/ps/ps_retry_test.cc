@@ -39,6 +39,8 @@ class DedupTest : public ::testing::Test {
   static std::vector<uint8_t> PushRequest(uint64_t col, double value) {
     BufferWriter w;
     w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+    w.WriteU8(0);      // f64 values
+    w.WriteVarint(1);  // one row
     w.WriteVarint(0);  // matrix
     w.WriteVarint(0);  // row
     w.WriteVarint(1);  // nnz
@@ -50,10 +52,11 @@ class DedupTest : public ::testing::Test {
   static std::vector<uint8_t> PullRequest() {
     BufferWriter w;
     w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    w.WriteVarint(0);
-    w.WriteVarint(0);
-    w.WriteVarint(0);
+    w.WriteVarint(0);  // window [0, 8)
     w.WriteVarint(8);
+    w.WriteVarint(1);  // one row: (0, 0)
+    w.WriteVarint(0);
+    w.WriteVarint(0);
     return w.buffer();
   }
 
@@ -61,6 +64,7 @@ class DedupTest : public ::testing::Test {
     Result<PsServer::HandleResult> r = server_.Handle(PullRequest());
     EXPECT_TRUE(r.ok()) << r.status();
     BufferReader in(r->response);
+    EXPECT_EQ(*in.ReadVarint(), 1u);  // row count
     uint64_t n = *in.ReadVarint();
     return (*in.ReadF64Span(n))[col];
   }

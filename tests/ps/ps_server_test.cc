@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+#include <string>
+
 #include "common/serde.h"
 #include "ps/partitioner.h"
 
@@ -20,6 +24,16 @@ MatrixMeta MakeMeta(int id, uint64_t dim, uint32_t rows, int servers,
   return meta;
 }
 
+TEST(PsOpCodeTest, EveryOpcodeHasADistinctKnownName) {
+  std::set<std::string> names;
+  for (int op = 0; op < kNumPsOpCodes; ++op) {
+    const std::string name = PsOpCodeName(static_cast<PsOpCode>(op));
+    EXPECT_NE(name, "unknown") << "opcode " << op;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_STREQ(PsOpCodeName(static_cast<PsOpCode>(kNumPsOpCodes)), "unknown");
+}
+
 class PsServerTest : public ::testing::Test {
  protected:
   // One server owning the whole dimension keeps wire-level tests simple.
@@ -33,27 +47,32 @@ class PsServerTest : public ::testing::Test {
     return std::move(r).ValueOrDie();
   }
 
+  /// One-row kPullDense of the window [begin, end).
   std::vector<double> Pull(int matrix, uint32_t row, uint64_t begin,
                            uint64_t end) {
     BufferWriter w;
     w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    w.WriteVarint(matrix);
-    w.WriteVarint(row);
     w.WriteVarint(begin);
     w.WriteVarint(end);
+    w.WriteVarint(1);
+    w.WriteVarint(matrix);
+    w.WriteVarint(row);
     PsServer::HandleResult result = Call(w);
     BufferReader r(result.response);
+    EXPECT_EQ(*r.ReadVarint(), 1u);
     uint64_t n = *r.ReadVarint();
     return *r.ReadF64Span(n);
   }
 
+  /// One-row kPushDense adding `values` at columns [begin, begin + n).
   void PushDense(int matrix, uint32_t row, uint64_t begin,
                  const std::vector<double>& values) {
     BufferWriter w;
     w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+    w.WriteVarint(begin);
+    w.WriteVarint(1);
     w.WriteVarint(matrix);
     w.WriteVarint(row);
-    w.WriteVarint(begin);
     w.WriteVarint(values.size());
     w.WriteF64Span(values.data(), values.size());
     Call(w);
@@ -136,13 +155,15 @@ TEST_F(PsServerTest, DotPartial) {
   PushDense(0, 0, 0, {1, 2, 3});
   PushDense(0, 1, 0, {4, 5, 6});
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kDotPartial));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  w.WriteVarint(1);  // one pair
   w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteVarint(1);
   PsServer::HandleResult result = Call(w);
   BufferReader r(result.response);
+  EXPECT_EQ(*r.ReadVarint(), 1u);
   EXPECT_DOUBLE_EQ(*r.ReadF64(), 32.0);
 }
 
@@ -181,10 +202,11 @@ TEST_F(PsServerTest, ZipUnknownUdfFails) {
 TEST_F(PsServerTest, UnknownMatrixFails) {
   BufferWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  w.WriteVarint(42);
-  w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteVarint(4);
+  w.WriteVarint(1);
+  w.WriteVarint(42);
+  w.WriteVarint(0);
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
 }
 
@@ -192,9 +214,10 @@ TEST_F(PsServerTest, RowOutOfRangeFails) {
   BufferWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
   w.WriteVarint(0);
-  w.WriteVarint(99);
-  w.WriteVarint(0);
   w.WriteVarint(4);
+  w.WriteVarint(1);
+  w.WriteVarint(0);
+  w.WriteVarint(99);
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
 }
 
@@ -245,6 +268,154 @@ TEST_F(PsServerTest, SparseStoragePushPull) {
   std::vector<double> window = Pull(1, 0, 999989, 999992);
   EXPECT_EQ(window, (std::vector<double>{0, 5, 0}));
   EXPECT_EQ(server_.StoredValues(), 3u * 16u + 1u);
+}
+
+// ---- Row-op families: single-row requests are one-row batches ------------
+
+TEST_F(PsServerTest, OneRowPullServedFromReplicaOutsideRange) {
+  // Matrix 3 is split over two servers; this one (id 0) owns [0, 8).
+  ASSERT_TRUE(server_.CreateMatrixShard(MakeMeta(3, 16, 2, 2)).ok());
+  BufferWriter hot;
+  hot.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
+  hot.WriteVarint(1);  // one hot row: (3, 1), 16 columns
+  hot.WriteVarint(3);
+  hot.WriteVarint(1);
+  hot.WriteVarint(16);
+  Call(hot);
+  std::vector<double> full(16);
+  std::iota(full.begin(), full.end(), 1.0);
+  BufferWriter install;
+  install.WriteU8(static_cast<uint8_t>(PsOpCode::kReplicaSync));
+  install.WriteU8(1);      // phase 1: install
+  install.WriteVarint(1);  // epoch
+  install.WriteVarint(1);
+  install.WriteVarint(3);
+  install.WriteVarint(1);
+  install.WriteVarint(16);
+  install.WriteF64Span(full.data(), full.size());
+  Call(install);
+  // The replica serves any window of the row, past this server's range...
+  EXPECT_EQ(Pull(3, 1, 4, 16),
+            std::vector<double>(full.begin() + 4, full.end()));
+  // ...while a row without one is clipped to the primary slice.
+  EXPECT_EQ(Pull(3, 0, 4, 16), std::vector<double>(4, 0.0));
+  // Sparse pulls too: column 12 lives on the other server.
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
+  w.WriteU8(0);      // f64 values
+  w.WriteVarint(1);  // one index: 12
+  w.WriteVarint(12);
+  w.WriteVarint(1);  // one row
+  w.WriteVarint(3);
+  w.WriteVarint(1);
+  PsServer::HandleResult result = Call(w);
+  BufferReader r(result.response);
+  EXPECT_EQ(*r.ReadVarint(), 1u);
+  EXPECT_EQ(*r.ReadF64(), 13.0);
+}
+
+TEST_F(PsServerTest, SparseStorageTwoRowPullAndPush) {
+  ASSERT_TRUE(server_
+                  .CreateMatrixShard(
+                      MakeMeta(4, 100, 2, 1, MatrixStorage::kSparse))
+                  .ok());
+  // Dense push of both rows over columns [0, 100): row r gets r+1 at 10.
+  BufferWriter push;
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  push.WriteVarint(0);
+  push.WriteVarint(2);
+  for (uint32_t row = 0; row < 2; ++row) {
+    std::vector<double> slice(100, 0.0);
+    slice[10] = row + 1.0;
+    push.WriteVarint(4);
+    push.WriteVarint(row);
+    push.WriteVarint(100);
+    push.WriteF64Span(slice.data(), slice.size());
+  }
+  Call(push);
+  // Sparse push: row r gets 10 * (r+1) at column 50.
+  BufferWriter add;
+  add.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  add.WriteU8(0);
+  add.WriteVarint(2);
+  for (uint32_t row = 0; row < 2; ++row) {
+    add.WriteVarint(4);
+    add.WriteVarint(row);
+    add.WriteVarint(1);
+    add.WriteVarint(50);
+    add.WriteF64(10.0 * (row + 1));
+  }
+  Call(add);
+  // Only the nonzeros are stored.
+  EXPECT_EQ(server_.StoredValues(), 3u * 16u + 4u);
+
+  BufferWriter pull;
+  pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  pull.WriteVarint(9);  // window [9, 12)
+  pull.WriteVarint(12);
+  pull.WriteVarint(2);
+  for (uint32_t row = 0; row < 2; ++row) {
+    pull.WriteVarint(4);
+    pull.WriteVarint(row);
+  }
+  PsServer::HandleResult dense = Call(pull);
+  BufferReader dr(dense.response);
+  EXPECT_EQ(*dr.ReadVarint(), 2u);
+  for (uint32_t row = 0; row < 2; ++row) {
+    ASSERT_EQ(*dr.ReadVarint(), 3u);
+    EXPECT_EQ(*dr.ReadF64Span(3), (std::vector<double>{0, row + 1.0, 0}));
+  }
+
+  BufferWriter sparse;
+  sparse.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
+  sparse.WriteU8(0);
+  sparse.WriteVarint(2);  // indices {10, 50}, delta-encoded
+  sparse.WriteVarint(10);
+  sparse.WriteVarint(40);
+  sparse.WriteVarint(2);
+  for (uint32_t row = 0; row < 2; ++row) {
+    sparse.WriteVarint(4);
+    sparse.WriteVarint(row);
+  }
+  PsServer::HandleResult values = Call(sparse);
+  BufferReader sr(values.response);
+  EXPECT_EQ(*sr.ReadVarint(), 2u);
+  for (uint32_t row = 0; row < 2; ++row) {
+    EXPECT_EQ(*sr.ReadF64Span(2),
+              (std::vector<double>{row + 1.0, 10.0 * (row + 1)}));
+  }
+}
+
+TEST_F(PsServerTest, TwoRowPushWithBadSecondRowAppliesNothing) {
+  const std::vector<double> zeros(16, 0.0);
+  // Sparse: row 0 is valid, row 1 names column 16, outside [0, 16).
+  BufferWriter add;
+  add.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  add.WriteU8(0);
+  add.WriteVarint(2);
+  for (uint64_t col : {3, 16}) {
+    add.WriteVarint(0);
+    add.WriteVarint(col == 3 ? 0 : 1);
+    add.WriteVarint(1);
+    add.WriteVarint(col);
+    add.WriteF64(1.0);
+  }
+  EXPECT_TRUE(server_.Handle(add.buffer()).status().IsOutOfRange());
+  EXPECT_EQ(Pull(0, 0, 0, 16), zeros);
+  // Dense: row 1's values run past the end of this server's range.
+  BufferWriter push;
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  push.WriteVarint(0);
+  push.WriteVarint(2);
+  for (uint64_t width : {16, 17}) {
+    const std::vector<double> ones(width, 1.0);
+    push.WriteVarint(0);
+    push.WriteVarint(width == 16 ? 0 : 1);
+    push.WriteVarint(width);
+    push.WriteF64Span(ones.data(), ones.size());
+  }
+  EXPECT_TRUE(server_.Handle(push.buffer()).status().IsOutOfRange());
+  EXPECT_EQ(Pull(0, 0, 0, 16), zeros);
 }
 
 TEST_F(PsServerTest, SparseStorageRejectsColumnOps) {
