@@ -16,7 +16,7 @@ namespace {
 using namespace ps2;
 
 void RunGraph(const char* name, const GraphSpec& graph, int servers,
-              int epochs) {
+              int epochs, bench::JsonReporter* json) {
   std::printf("\n--- %s: %u vertices, %llu walks, %d servers ---\n", name,
               graph.num_vertices,
               static_cast<unsigned long long>(graph.num_walks), servers);
@@ -34,10 +34,21 @@ void RunGraph(const char* name, const GraphSpec& graph, int servers,
   options.epochs = epochs;
   options.num_servers = servers;
 
+  // Metrics reset before each system so each JSON record carries only its
+  // own run's traffic.
+  auto record = [&](const std::string& run, const TrainReport& r) {
+    json->AddRun(std::string(name) + "." + run, cluster, r.total_time);
+    json->AddField("final_loss", r.final_loss);
+    json->AddField("time_per_epoch_s", r.TimePerIteration());
+  };
+  cluster.metrics().Reset();
   DcvContext ctx_ps2(&cluster);
   TrainReport ps2 = *TrainDeepWalkPs2(&ctx_ps2, pairs, freq, options);
+  record("ps2_dcv", ps2);
+  cluster.metrics().Reset();
   DcvContext ctx_ps(&cluster);
   TrainReport ps = *TrainDeepWalkPsPullPush(&ctx_ps, pairs, freq, options);
+  record("ps_pullpush", ps);
 
   bench::PrintCurve(ps2, 5);
   bench::PrintCurve(ps, 5);
@@ -53,9 +64,11 @@ int main() {
   bench::Header("Figure 9(c)/(d): DCV effectiveness on DeepWalk",
                 "Graph1 (2 servers): PS2 5x; Graph2 (30 servers): 1.4x");
   const double scale = bench::Scale();
+  bench::JsonReporter json("fig09_dcv_deepwalk");
   RunGraph("Graph1-like", presets::Graph1Like(scale), /*servers=*/2,
-           /*epochs=*/3);
+           /*epochs=*/3, &json);
   RunGraph("Graph2-like", presets::Graph2Like(scale * 0.25), /*servers=*/30,
-           /*epochs=*/2);
+           /*epochs=*/2, &json);
+  json.Write();
   return 0;
 }

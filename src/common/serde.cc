@@ -30,8 +30,7 @@ Result<std::string> BufferReader::ReadString() {
 }
 
 Result<std::vector<uint64_t>> BufferReader::ReadVarintVector() {
-  PS2_ASSIGN_OR_RETURN(uint64_t n, ReadVarint());
-  if (n > remaining()) return Status::OutOfRange("varint vector too long");
+  PS2_ASSIGN_OR_RETURN(uint64_t n, ReadCount());
   std::vector<uint64_t> out;
   out.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -115,12 +115,9 @@ void SparseVector::Serialize(BufferWriter* writer) const {
 }
 
 Result<SparseVector> SparseVector::Deserialize(BufferReader* reader) {
-  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
   // Every entry needs at least one delta byte and eight value bytes; reject
   // length claims the buffer cannot possibly back before allocating.
-  if (n > reader->remaining()) {
-    return Status::OutOfRange("sparse vector length exceeds buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadCount(9));
   SparseVector out;
   out.indices_.reserve(n);
   out.values_.reserve(n);

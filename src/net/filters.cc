@@ -498,10 +498,8 @@ Result<std::vector<uint8_t>> FilterChain::Decode(Slice wire, uint8_t mask,
   }
 
   BufferReader r(body);
-  PS2_ASSIGN_OR_RETURN(uint64_t n_chunks, r.ReadVarint());
-  if (n_chunks > body.size()) {
-    return Status::OutOfRange("chunk count exceeds body");
-  }
+  // Every chunk is at least a tag and a one-byte length.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_chunks, r.ReadCount(2));
   for (uint64_t i = 0; i < n_chunks; ++i) {
     PS2_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
     FilterChunk c;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -897,6 +898,72 @@ void WriteHotPush(BufferWriter* writer, RowRef ref, const uint64_t* idx,
   writer->EndSection();
 }
 
+/// kDotBatch body (DESIGN §5b): `count`, then runs `a(m,r), k, b(m,r)×k` —
+/// consecutive pairs that share their first operand name it once.
+void WriteDotRuns(BufferWriter* writer,
+                  const std::vector<std::pair<RowRef, RowRef>>& pairs) {
+  writer->WriteVarint(pairs.size());
+  for (size_t i = 0; i < pairs.size();) {
+    size_t end = i + 1;
+    while (end < pairs.size() && pairs[end].first == pairs[i].first) ++end;
+    WriteRowRef(writer, pairs[i].first);
+    writer->WriteVarint(end - i);
+    for (; i < end; ++i) WriteRowRef(writer, pairs[i].second);
+  }
+}
+
+/// One kAxpyBatch group: `entries` consecutive updates of one anchor row,
+/// each a single task (plain) or a task followed by its mirror.
+struct AxpyGroup {
+  size_t first = 0;  ///< index of the group's first task
+  size_t entries = 0;
+  bool mirrored = false;
+};
+
+/// True when `b` is `a` with its rows swapped and a bit-equal alpha: the
+/// pair `u += α·v; v += α·u` one mirrored entry carries. memcmp, so -0.0
+/// never merges with 0.0 and a NaN alpha merges only with its own bits.
+bool IsMirror(const PsClient::AxpyTask& a, const PsClient::AxpyTask& b) {
+  return b.dst == a.src && b.src == a.dst &&
+         std::memcmp(&a.alpha, &b.alpha, sizeof(double)) == 0;
+}
+
+/// Greedy over the staged order: an entry joins the open group while its
+/// destination and its mirrored flag repeat.
+std::vector<AxpyGroup> GroupAxpyTasks(
+    const std::vector<PsClient::AxpyTask>& tasks) {
+  std::vector<AxpyGroup> groups;
+  for (size_t i = 0; i < tasks.size();) {
+    const bool mirrored =
+        i + 1 < tasks.size() && IsMirror(tasks[i], tasks[i + 1]);
+    if (groups.empty() || groups.back().mirrored != mirrored ||
+        !(tasks[groups.back().first].dst == tasks[i].dst)) {
+      groups.push_back({i, 0, mirrored});
+    }
+    groups.back().entries += 1;
+    i += mirrored ? 2 : 1;
+  }
+  return groups;
+}
+
+/// kAxpyBatch body (DESIGN §5b): `groups`, then per group
+/// `anchor(m,r), varint(k<<1 | mirrored), (other(m,r), f64 α)×k`.
+void WriteAxpyGroups(BufferWriter* writer,
+                     const std::vector<PsClient::AxpyTask>& tasks,
+                     const std::vector<AxpyGroup>& groups) {
+  writer->WriteVarint(groups.size());
+  for (const AxpyGroup& g : groups) {
+    const size_t stride = g.mirrored ? 2 : 1;
+    WriteRowRef(writer, tasks[g.first].dst);
+    writer->WriteVarint(g.entries << 1 | (g.mirrored ? 1 : 0));
+    for (size_t e = 0; e < g.entries; ++e) {
+      const PsClient::AxpyTask& t = tasks[g.first + e * stride];
+      WriteRowRef(writer, t.src);
+      writer->WriteF64(t.alpha);
+    }
+  }
+}
+
 /// Unwraps the one row of a single-row op's batch.
 Result<std::vector<double>> FirstRow(Result<Rows>&& rows) {
   PS2_RETURN_NOT_OK(rows.status());
@@ -1495,11 +1562,7 @@ PsFuture<std::vector<double>> PsClient::SubmitDotBatch(
   for (int p : ServerPartitions(meta.partitioner)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
-    writer.WriteVarint(pairs.size());
-    for (const auto& [a, b] : pairs) {
-      WriteRowRef(&writer, a);
-      WriteRowRef(&writer, b);
-    }
+    WriteDotRuns(&writer, pairs);
     requests.push_back(MakeRouted(meta, p, &writer));
   }
   const size_t count = pairs.size();
@@ -1534,19 +1597,12 @@ PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
     return ReadyFuture<Ack>(Status::FailedPrecondition(
         "axpy-batch requires co-located DCVs; create them with derive"));
   }
-  const ColumnPartitioner& part = meta.partitioner;
+  const std::vector<AxpyGroup> groups = GroupAxpyTasks(tasks);
   std::vector<ServerRequest> requests;
-  for (int p : ServerPartitions(part)) {
+  for (int p : ServerPartitions(meta.partitioner)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
-    writer.WriteVarint(tasks.size());
-    for (const auto& t : tasks) {
-      writer.WriteVarint(t.dst.matrix_id);
-      writer.WriteVarint(t.dst.row);
-      writer.WriteVarint(t.src.matrix_id);
-      writer.WriteVarint(t.src.row);
-      writer.WriteF64(t.alpha);
-    }
+    WriteAxpyGroups(&writer, tasks, groups);
     requests.push_back(MakeRouted(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse);

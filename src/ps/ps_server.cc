@@ -989,62 +989,107 @@ Result<PsServer::HandleResult> PsServer::HandleZipAggregate(BufferReader* in) {
 }
 
 Result<PsServer::HandleResult> PsServer::HandleDotBatch(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
+  // `count`, then runs `a(m,r), k, b(m,r)×k` whose lengths sum to `count`
+  // (DESIGN §5b). One operand must be a primary slice here; the other may
+  // be a replica read at that slice.
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(2));
   HandleResult out;
   BufferWriter writer;
   writer.WriteVarint(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  for (uint64_t left = count; left > 0;) {
     PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t mb, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rb, in->ReadVarint());
-    uint64_t width = 0, begin = 0;
-    const double* a = nullptr;
-    const double* b = nullptr;
-    Result<double*> a_primary = DenseRow(static_cast<int>(ma),
-                                         static_cast<uint32_t>(ra), &width,
-                                         &begin);
-    if (a_primary.ok()) {
-      a = *a_primary;
-      PS2_ASSIGN_OR_RETURN(b, ReadRowView(static_cast<int>(mb),
-                                          static_cast<uint32_t>(rb), begin,
-                                          width));
-    } else {
-      PS2_ASSIGN_OR_RETURN(double* bp, DenseRow(static_cast<int>(mb),
-                                                static_cast<uint32_t>(rb),
-                                                &width, &begin));
-      b = bp;
-      PS2_ASSIGN_OR_RETURN(a, ReadRowView(static_cast<int>(ma),
-                                          static_cast<uint32_t>(ra), begin,
-                                          width));
+    PS2_ASSIGN_OR_RETURN(uint64_t k, in->ReadCount(2));
+    if (k == 0 || k > left) {
+      return Status::InvalidArgument("dot run length outside [1, count]");
     }
-    double partial = 0.0;
-    out.server_ops += kernels::Dot(a, b, width, &partial);
-    writer.WriteF64(partial);
+    left -= k;
+    uint64_t wa = 0, ba = 0;
+    Result<double*> a_primary = DenseRow(static_cast<int>(ma),
+                                         static_cast<uint32_t>(ra), &wa, &ba);
+    for (uint64_t i = 0; i < k; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t mb, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t rb, in->ReadVarint());
+      uint64_t width = wa;
+      const double* a = nullptr;
+      const double* b = nullptr;
+      if (a_primary.ok()) {
+        a = *a_primary;
+        PS2_ASSIGN_OR_RETURN(b, ReadRowView(static_cast<int>(mb),
+                                            static_cast<uint32_t>(rb), ba,
+                                            wa));
+      } else {
+        uint64_t begin = 0;
+        PS2_ASSIGN_OR_RETURN(double* bp, DenseRow(static_cast<int>(mb),
+                                                  static_cast<uint32_t>(rb),
+                                                  &width, &begin));
+        b = bp;
+        PS2_ASSIGN_OR_RETURN(a, ReadRowView(static_cast<int>(ma),
+                                            static_cast<uint32_t>(ra), begin,
+                                            width));
+      }
+      double partial = 0.0;
+      out.server_ops += kernels::Dot(a, b, width, &partial);
+      writer.WriteF64(partial);
+    }
   }
   out.response = writer.Release();
   return out;
 }
 
 Result<PsServer::HandleResult> PsServer::HandleAxpyBatch(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
+  // `groups`, then per group `anchor(m,r), varint(k<<1 | mirrored),
+  // (other(m,r), f64 α)×k` (DESIGN §5b). A plain entry is
+  // `anchor += α·other`; a mirrored one is that, then `other += α·anchor`.
+  // A destination must be a primary slice; a source may be a replica.
+  // The body is walked twice: the first pass resolves every row of every
+  // group and stops at the first bad one, the second applies in task order.
+  // A rejected request is not recorded for dedup, so it must apply nothing;
+  // walking twice keeps that without buffering the resolved tasks.
   HandleResult out;
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t md, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rd, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t ms, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rs, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(double alpha, in->ReadF64());
-    uint64_t wd = 0, bd = 0;
-    PS2_ASSIGN_OR_RETURN(double* dst, DenseRow(static_cast<int>(md),
-                                               static_cast<uint32_t>(rd), &wd,
-                                               &bd));
-    // The source may be a replica; the destination must be primary.
-    PS2_ASSIGN_OR_RETURN(
-        const double* src,
-        ReadRowView(static_cast<int>(ms), static_cast<uint32_t>(rs), bd, wd));
-    TouchRowIdLocked(static_cast<int>(md), rd);
-    out.server_ops += kernels::Axpy(dst, src, alpha, wd);
+  const BufferReader body = *in;
+  for (const bool apply : {false, true}) {
+    *in = body;
+    PS2_ASSIGN_OR_RETURN(uint64_t groups, in->ReadCount(3));
+    for (uint64_t g = 0; g < groups; ++g) {
+      PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t mode, in->ReadVarint());
+      const bool mirrored = (mode & 1) != 0;
+      const uint64_t k = mode >> 1;
+      // Each entry is at least a two-byte row ref and an f64.
+      if (k == 0 || k > in->remaining() / 10) {
+        return Status::OutOfRange("axpy group length exceeds buffer");
+      }
+      const int anchor_m = static_cast<int>(ma);
+      const uint32_t anchor_r = static_cast<uint32_t>(ra);
+      uint64_t wa = 0, ba = 0;
+      PS2_ASSIGN_OR_RETURN(double* anchor,
+                           DenseRow(anchor_m, anchor_r, &wa, &ba));
+      for (uint64_t i = 0; i < k; ++i) {
+        PS2_ASSIGN_OR_RETURN(uint64_t mo, in->ReadVarint());
+        PS2_ASSIGN_OR_RETURN(uint64_t ro, in->ReadVarint());
+        PS2_ASSIGN_OR_RETURN(double alpha, in->ReadF64());
+        const int other_m = static_cast<int>(mo);
+        const uint32_t other_r = static_cast<uint32_t>(ro);
+        PS2_ASSIGN_OR_RETURN(const double* other_view,
+                             ReadRowView(other_m, other_r, ba, wa));
+        if (apply) {
+          TouchRowIdLocked(anchor_m, ra);
+          out.server_ops += kernels::Axpy(anchor, other_view, alpha, wa);
+        }
+        if (!mirrored) continue;
+        uint64_t wo = 0, bo = 0;
+        PS2_ASSIGN_OR_RETURN(double* other,
+                             DenseRow(other_m, other_r, &wo, &bo));
+        PS2_ASSIGN_OR_RETURN(const double* anchor_view,
+                             ReadRowView(anchor_m, anchor_r, bo, wo));
+        if (apply) {
+          TouchRowIdLocked(other_m, ro);
+          out.server_ops += kernels::Axpy(other, anchor_view, alpha, wo);
+        }
+      }
+    }
   }
   return out;
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/serde.h"
 #include "dcv/dcv_context.h"
+#include "net/message.h"
 
 namespace ps2 {
 namespace {
@@ -158,6 +161,127 @@ TEST_F(DcvTest, DotEqualsOnePairDotBatch) {
       *ctx_->client()->DotBatchAsync({{a.ref(), b.ref()}}).Get();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(*a.Dot(b), batch[0]);  // bit-identical: the same wire op
+}
+
+std::vector<RowRef> Refs(const std::vector<Dcv>& rows) {
+  std::vector<RowRef> refs;
+  for (const Dcv& row : rows) refs.push_back(row.ref());
+  return refs;
+}
+
+TEST_F(DcvTest, RunGroupedDotBatchEqualsPerPairDot) {
+  std::vector<Dcv> rows = *ctx_->DenseMatrix(40, 8, 0.5, 7);
+  const std::vector<RowRef> r = Refs(rows);
+  // Runs of 3, 1, 2 and 1 pairs: a run breaks when the first operand does.
+  const std::vector<std::pair<int, int>> idx = {
+      {0, 4}, {0, 5}, {0, 6}, {1, 4}, {2, 2}, {2, 0}, {0, 7}};
+  std::vector<std::pair<RowRef, RowRef>> pairs;
+  for (const auto& [a, b] : idx) pairs.push_back({r[a], r[b]});
+  std::vector<double> batch = *ctx_->client()->DotBatchAsync(pairs).Get();
+  ASSERT_EQ(batch.size(), idx.size());
+  for (size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_EQ(*rows[idx[i].first].Dot(rows[idx[i].second]), batch[i]) << i;
+  }
+}
+
+TEST_F(DcvTest, GroupedAxpyBatchEqualsOneTaskBatches) {
+  // Two identically initialized matrices: one takes the tasks as one
+  // batch (grouped on the wire), the other one task per batch.
+  const std::vector<RowRef> grouped =
+      Refs(*ctx_->DenseMatrix(40, 8, 0.5, 11, "grouped"));
+  const std::vector<RowRef> single =
+      Refs(*ctx_->DenseMatrix(40, 8, 0.5, 11, "single"));
+  const double alpha = 0.125 / 3;
+  const double alpha_next = std::nextafter(alpha, 1.0);
+  // {dst, src, alpha} over row indices.
+  struct Task {
+    int dst, src;
+    double alpha;
+  };
+  const std::vector<Task> tasks = {
+      // DeepWalk-shaped mirrored group: anchor 0 with others 4, 5, 6.
+      {0, 4, alpha}, {4, 0, alpha}, {0, 5, -alpha}, {5, 0, -alpha},
+      {0, 6, 0.5}, {6, 0, 0.5},
+      // The same anchor, plain: the open group must split on the flag.
+      {0, 7, 0.25}, {0, 3, 2.0},
+      // Mixed anchors, plain and mirrored.
+      {1, 2, 1.5}, {2, 1, 1.5}, {3, 1, -0.75}, {1, 3, -0.75},
+      // Would-be mirrors whose alphas differ in the last bit or only in
+      // sign (-0.0): the second task must run with its own alpha.
+      {5, 6, alpha}, {6, 5, alpha_next}, {7, 2, 0.0}, {2, 7, -0.0},
+      // Self-update and a trailing lone task.
+      {3, 3, 0.5}, {4, 6, -1.0}};
+  std::vector<PsClient::AxpyTask> batch;
+  for (const Task& t : tasks) {
+    batch.push_back({grouped[t.dst], grouped[t.src], t.alpha});
+    ASSERT_TRUE(ctx_->client()
+                    ->AxpyBatchAsync({{single[t.dst], single[t.src], t.alpha}})
+                    .Wait()
+                    .ok());
+  }
+  ASSERT_TRUE(ctx_->client()->AxpyBatchAsync(batch).Wait().ok());
+  for (size_t i = 0; i < grouped.size(); ++i) {
+    std::vector<double> a = *ctx_->client()->PullDense(grouped[i]);
+    std::vector<double> b = *ctx_->client()->PullDense(single[i]);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "row " << i;
+  }
+}
+
+TEST_F(DcvTest, DeepWalkShapedBatchRequestsShrink) {
+  // One positive pair and five negatives share their input row; each
+  // update is the symmetric axpy pair. Row ids past 127 take two varint
+  // bytes, as in any real vocabulary.
+  std::vector<Dcv> rows = *ctx_->DenseMatrix(16, 1000, 0.5, 3);
+  const RowRef u = rows[150].ref();
+  std::vector<std::pair<RowRef, RowRef>> pairs;
+  std::vector<PsClient::AxpyTask> tasks;
+  for (int i = 0; i < 6; ++i) {
+    const RowRef c = rows[500 + 50 * i].ref();
+    const double alpha = -0.025 * (i + 1);
+    pairs.push_back({u, c});
+    tasks.push_back({u, c, alpha});
+    tasks.push_back({c, u, alpha});
+  }
+  // Request payload bytes per message, net of the fixed message header.
+  auto payload_per_message = [&](const auto& send) {
+    const MetricsRegistry& m = cluster_->metrics();
+    const uint64_t bytes0 = m.Get("net.bytes_worker_to_server");
+    const uint64_t msgs0 = m.Get("net.messages");
+    send();
+    const uint64_t msgs = m.Get("net.messages") - msgs0;
+    const uint64_t bytes = m.Get("net.bytes_worker_to_server") - bytes0;
+    EXPECT_GT(msgs, 0u);
+    return (bytes - msgs * Message::kHeaderBytes) / msgs;
+  };
+  auto ref = [](BufferWriter* w, RowRef r) {
+    w->WriteVarint(r.matrix_id);
+    w->WriteVarint(r.row);
+  };
+  // The same requests in the ungrouped formats: every pair names both
+  // rows, every task both rows and its alpha.
+  BufferWriter flat_dot;
+  flat_dot.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  flat_dot.WriteVarint(pairs.size());
+  for (const auto& [a, b] : pairs) {
+    ref(&flat_dot, a);
+    ref(&flat_dot, b);
+  }
+  BufferWriter flat_axpy;
+  flat_axpy.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+  flat_axpy.WriteVarint(tasks.size());
+  for (const PsClient::AxpyTask& t : tasks) {
+    ref(&flat_axpy, t.dst);
+    ref(&flat_axpy, t.src);
+    flat_axpy.WriteF64(t.alpha);
+  }
+  const uint64_t dot = payload_per_message(
+      [&] { ASSERT_TRUE(ctx_->client()->DotBatchAsync(pairs).Get().ok()); });
+  const uint64_t axpy = payload_per_message(
+      [&] { ASSERT_TRUE(ctx_->client()->AxpyBatchAsync(tasks).Wait().ok()); });
+  EXPECT_LE(3 * dot, 2 * flat_dot.buffer().size());
+  EXPECT_LE(2 * axpy, flat_axpy.buffer().size());
 }
 
 TEST_F(DcvTest, ZipAppliesUdfOverAllVectors) {

@@ -117,6 +117,20 @@ TEST(SparseVectorTest, EmptyRoundTrip) {
   EXPECT_EQ(SparseVector::Deserialize(&r)->nnz(), 0u);
 }
 
+TEST(SparseVectorTest, LengthTheBufferCannotBackRejected) {
+  // 18 bytes back at most two entries (one delta byte + one f64 each); a
+  // claim of three fails on the count, before any entry is read.
+  SparseVector v({1, 2}, {1.0, 2.0});
+  BufferWriter w;
+  v.Serialize(&w);
+  std::vector<uint8_t> bytes = w.Release();
+  ASSERT_EQ(bytes.size(), 19u);
+  bytes[0] = 3;
+  BufferReader r(bytes);
+  EXPECT_TRUE(SparseVector::Deserialize(&r).status().IsOutOfRange());
+  EXPECT_EQ(r.remaining(), 18u);
+}
+
 TEST(SparseVectorTest, RandomizedAddCommutes) {
   Rng rng(77);
   for (int trial = 0; trial < 20; ++trial) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
 #include "net/filter_config.h"
@@ -87,6 +89,60 @@ std::vector<uint8_t> PullRowRequest(uint32_t row) {
   return writer.Release();
 }
 
+/// One kDotBatch run over matrix 0: a first-operand row and the
+/// second-operand rows it is dotted with.
+struct DotRun {
+  uint32_t a;
+  std::vector<uint32_t> bs;
+};
+
+/// `count` defaults to the number of pairs the runs carry.
+std::vector<uint8_t> DotRunsRequest(
+    const std::vector<DotRun>& runs,
+    std::optional<uint64_t> count = std::nullopt) {
+  uint64_t pairs = 0;
+  for (const DotRun& run : runs) pairs += run.bs.size();
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  writer.WriteVarint(count.value_or(pairs));
+  for (const DotRun& run : runs) {
+    writer.WriteVarint(0);
+    writer.WriteVarint(run.a);
+    writer.WriteVarint(run.bs.size());
+    for (uint32_t b : run.bs) {
+      writer.WriteVarint(0);
+      writer.WriteVarint(b);
+    }
+  }
+  return writer.Release();
+}
+
+/// One kAxpyBatch group over matrix 0: `anchor += α·other` per entry, plus
+/// `other += α·anchor` after it when mirrored.
+struct AxpyGroupSpec {
+  uint32_t anchor;
+  bool mirrored;
+  std::vector<std::pair<uint32_t, double>> entries;
+};
+
+std::vector<uint8_t> AxpyGroupsRequest(
+    const std::vector<AxpyGroupSpec>& groups) {
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+  writer.WriteVarint(groups.size());
+  for (const AxpyGroupSpec& g : groups) {
+    writer.WriteVarint(0);
+    writer.WriteVarint(g.anchor);
+    writer.WriteVarint(g.entries.size() << 1 | (g.mirrored ? 1 : 0));
+    for (const auto& [other, alpha] : g.entries) {
+      writer.WriteVarint(0);
+      writer.WriteVarint(other);
+      writer.WriteF64(alpha);
+    }
+  }
+  return writer.Release();
+}
+
 /// Valid requests of every row-op family over rows {0} (one-row) or {0, 1}
 /// (two-row) of matrix 0, each row touching column 5.
 std::vector<std::vector<uint8_t>> RowFamilyRequests(size_t num_rows) {
@@ -141,16 +197,10 @@ std::vector<std::vector<uint8_t>> RowFamilyRequests(size_t num_rows) {
     }
     out.push_back(push_sparse.Release());
   }
-  BufferWriter dot;
-  dot.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
-  dot.WriteVarint(num_rows);
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    dot.WriteVarint(0);
-    dot.WriteVarint(r);
-    dot.WriteVarint(0);
-    dot.WriteVarint(3);
-  }
-  out.push_back(dot.Release());
+  // Pairs (r, 3): one run per row, since each first operand differs.
+  std::vector<DotRun> dot_runs;
+  for (uint32_t r = 0; r < num_rows; ++r) dot_runs.push_back({r, {3}});
+  out.push_back(DotRunsRequest(dot_runs));
   return out;
 }
 
@@ -171,14 +221,36 @@ std::vector<uint8_t> ZipRow0Request(uint64_t n_args,
 
 TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
   // Build valid requests, then replay every truncation of each: one- and
-  // two-row requests of every row-op family, and a zip whose truncations
-  // cut into its f64 argument list too. None may mutate rows 0 and 1 — a
-  // two-row push cut inside its second row must not apply its first.
+  // two-row requests of every row-op family, one- and multi-run dot
+  // batches, plain, mirrored and mixed axpy batches, and a zip whose
+  // truncations cut into its f64 argument list too. None may mutate rows 0
+  // and 1 — a two-row push cut inside its second row must not apply its
+  // first, nor an axpy batch cut inside its second group its first.
   std::vector<std::vector<uint8_t>> requests = RowFamilyRequests(1);
   for (std::vector<uint8_t>& r : RowFamilyRequests(2)) {
     requests.push_back(std::move(r));
   }
+  requests.push_back(DotRunsRequest({{0, {1, 2, 3}}}));
+  requests.push_back(DotRunsRequest({{0, {1, 2}}, {1, {3}}, {2, {0, 1}}}));
+  requests.push_back(AxpyGroupsRequest({{0, false, {{2, 0.5}, {3, -1.0}}}}));
+  requests.push_back(AxpyGroupsRequest({{1, true, {{2, 0.25}, {3, 0.5}}}}));
+  requests.push_back(AxpyGroupsRequest(
+      {{0, true, {{2, 0.5}}}, {0, false, {{1, 2.0}}}, {1, true, {{3, 1.5}}}}));
   requests.push_back(ZipRow0Request(2, {2.0, 0.5}));
+  // Rows 2 and 3 are the axpy sources: nonzero, so any applied entry
+  // moves row 0 or 1.
+  BufferWriter fill;
+  fill.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  fill.WriteVarint(0);
+  fill.WriteVarint(2);
+  const std::vector<double> ones(64, 1.0);
+  for (uint32_t r : {2, 3}) {
+    fill.WriteVarint(0);
+    fill.WriteVarint(r);
+    fill.WriteVarint(64);
+    fill.WriteF64Span(ones.data(), ones.size());
+  }
+  ASSERT_TRUE(server_.Handle(fill.buffer()).ok());
   const std::vector<uint8_t> row0 = server_.Handle(PullRowRequest(0))->response;
   const std::vector<uint8_t> row1 = server_.Handle(PullRowRequest(1))->response;
   for (const std::vector<uint8_t>& full : requests) {
@@ -199,6 +271,82 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
   }
   EXPECT_NE(server_.Handle(PullRowRequest(0))->response, row0);
   EXPECT_NE(server_.Handle(PullRowRequest(1))->response, row1);
+}
+
+TEST_F(PsFuzzTest, HostileDotRunsRejected) {
+  const DotRun two{0, {3, 3}}, one{1, {3}}, empty{2, {}};
+  ASSERT_TRUE(server_.Handle(DotRunsRequest({two, one})).ok());
+  // A run of length 0 carries no pair.
+  EXPECT_TRUE(server_.Handle(DotRunsRequest({empty, two, one}))
+                  .status()
+                  .IsInvalidArgument());
+  // A run longer than what is left of `count`, even when the bytes are
+  // there to back it.
+  EXPECT_TRUE(server_.Handle(DotRunsRequest({two, two}, 3))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      server_.Handle(DotRunsRequest({two}, 1)).status().IsInvalidArgument());
+  // Counts the buffer cannot back fail before anything is allocated.
+  const uint64_t huge = uint64_t{1} << 60;
+  EXPECT_TRUE(
+      server_.Handle(DotRunsRequest({one}, huge)).status().IsOutOfRange());
+  BufferWriter long_run;
+  long_run.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  long_run.WriteVarint(2);
+  long_run.WriteVarint(0);
+  long_run.WriteVarint(0);
+  long_run.WriteVarint(huge);
+  EXPECT_TRUE(server_.Handle(long_run.buffer()).status().IsOutOfRange());
+}
+
+TEST_F(PsFuzzTest, HostileAxpyGroupsRejected) {
+  BufferWriter push;  // row 1 = ones, so any applied entry moves row 0
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  push.WriteVarint(0);
+  push.WriteVarint(1);
+  push.WriteVarint(0);
+  push.WriteVarint(1);
+  push.WriteVarint(64);
+  const std::vector<double> ones(64, 1.0);
+  push.WriteF64Span(ones.data(), ones.size());
+  ASSERT_TRUE(server_.Handle(push.buffer()).ok());
+  const std::vector<uint8_t> row0 = server_.Handle(PullRowRequest(0))->response;
+  auto header = [](uint64_t groups, uint64_t mode) {
+    // One group anchored at row 0 whose header varint is `mode`, followed
+    // by a single (row 1, 1.0) entry.
+    BufferWriter writer;
+    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+    writer.WriteVarint(groups);
+    writer.WriteVarint(0);
+    writer.WriteVarint(0);
+    writer.WriteVarint(mode);
+    writer.WriteVarint(0);
+    writer.WriteVarint(1);
+    writer.WriteF64(1.0);
+    return writer.Release();
+  };
+  // A group count the buffer cannot back.
+  EXPECT_TRUE(server_.Handle(header(uint64_t{1} << 60, 2))
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_FALSE(server_.Handle(header(2, 2)).ok());
+  // An empty group.
+  EXPECT_FALSE(server_.Handle(header(1, 0)).ok());
+  EXPECT_FALSE(server_.Handle(header(1, 1)).ok());
+  // Every header bit above the mirrored flag is entry count: set ones
+  // claim entries the buffer cannot back, mirrored or not.
+  for (int bit = 2; bit < 64; ++bit) {
+    for (uint64_t flag : {0, 1}) {
+      const uint64_t mode = (uint64_t{1} << bit) | 2 | flag;
+      EXPECT_TRUE(server_.Handle(header(1, mode)).status().IsOutOfRange())
+          << "bit " << bit;
+    }
+  }
+  EXPECT_EQ(server_.Handle(PullRowRequest(0))->response, row0);
+  EXPECT_TRUE(server_.Handle(header(1, 2)).ok());
+  EXPECT_TRUE(server_.Handle(header(1, 3)).ok());
+  EXPECT_NE(server_.Handle(PullRowRequest(0))->response, row0);
 }
 
 TEST_F(PsFuzzTest, CompressedFrameWithHugeRawLengthRejected) {

@@ -157,8 +157,9 @@ TEST_F(PsServerTest, DotPartial) {
   BufferWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
   w.WriteVarint(1);  // one pair
+  w.WriteVarint(0);  // one run: first operand (0, 0)
   w.WriteVarint(0);
-  w.WriteVarint(0);
+  w.WriteVarint(1);  // of length 1: second operand (0, 1)
   w.WriteVarint(0);
   w.WriteVarint(1);
   PsServer::HandleResult result = Call(w);
@@ -416,6 +417,63 @@ TEST_F(PsServerTest, TwoRowPushWithBadSecondRowAppliesNothing) {
   }
   EXPECT_TRUE(server_.Handle(push.buffer()).status().IsOutOfRange());
   EXPECT_EQ(Pull(0, 0, 0, 16), zeros);
+}
+
+/// kAxpyBatch of `groups` over matrix 0: each group is an anchor row, the
+/// mirrored flag and its (other row, alpha) entries.
+struct AxpyGroupSpec {
+  uint32_t anchor;
+  bool mirrored;
+  std::vector<std::pair<uint32_t, double>> entries;
+};
+
+BufferWriter AxpyGroups(const std::vector<AxpyGroupSpec>& groups) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+  w.WriteVarint(groups.size());
+  for (const AxpyGroupSpec& g : groups) {
+    w.WriteVarint(0);
+    w.WriteVarint(g.anchor);
+    w.WriteVarint(g.entries.size() << 1 | (g.mirrored ? 1 : 0));
+    for (const auto& [other, alpha] : g.entries) {
+      w.WriteVarint(0);
+      w.WriteVarint(other);
+      w.WriteF64(alpha);
+    }
+  }
+  return w;
+}
+
+TEST_F(PsServerTest, MirroredAxpyEntryUpdatesAnchorThenOther) {
+  PushDense(0, 0, 0, {1, 2});
+  PushDense(0, 1, 0, {3, 4});
+  PushDense(0, 2, 0, {1, 1});
+  // Row 0 += 2·row 1, then row 1 += 2·(updated) row 0; then a plain entry
+  // row 0 += -1·row 2.
+  Call(AxpyGroups({{0, true, {{1, 2.0}}}, {0, false, {{2, -1.0}}}}));
+  EXPECT_EQ(Pull(0, 0, 0, 2), (std::vector<double>{6, 9}));
+  EXPECT_EQ(Pull(0, 1, 0, 2), (std::vector<double>{17, 24}));
+  EXPECT_EQ(Pull(0, 2, 0, 2), (std::vector<double>{1, 1}));
+}
+
+TEST_F(PsServerTest, TwoTaskAxpyBatchWithBadSecondRowAppliesNothing) {
+  PushDense(0, 1, 0, std::vector<double>(16, 1.0));
+  const std::vector<double> row0 = Pull(0, 0, 0, 16);
+  const std::vector<double> row1 = Pull(0, 1, 0, 16);
+  // Row 3 is outside the matrix's 3 rows: as the second entry of one
+  // group, as the anchor of a second group, and as the other row of a
+  // mirrored entry (whose first task alone would be valid).
+  std::vector<std::vector<uint8_t>> requests;
+  requests.push_back(AxpyGroups({{0, false, {{1, 1.0}, {3, 1.0}}}}).Release());
+  requests.push_back(
+      AxpyGroups({{0, false, {{1, 1.0}}}, {3, false, {{1, 1.0}}}}).Release());
+  requests.push_back(
+      AxpyGroups({{0, true, {{1, 1.0}}}, {2, true, {{3, 1.0}}}}).Release());
+  for (const std::vector<uint8_t>& request : requests) {
+    EXPECT_FALSE(server_.Handle(request).ok());
+    EXPECT_EQ(Pull(0, 0, 0, 16), row0);
+    EXPECT_EQ(Pull(0, 1, 0, 16), row1);
+  }
 }
 
 TEST_F(PsServerTest, SparseStorageRejectsColumnOps) {
