@@ -94,9 +94,16 @@ DcvBatch::Future DcvBatch::Submit() {
   }
   PsClient* client = context_->client();
   // Issue groups back-to-back: the first becomes the round leader, the rest
-  // overlap it — the whole batch charges one round of latency.
-  if (!dot_pairs_.empty()) f.dots_ = client->DotBatchAsync(dot_pairs_);
-  if (!axpy_tasks_.empty()) f.axpys_ = client->AxpyBatchAsync(axpy_tasks_);
+  // overlap it — the whole batch charges one round of latency. Axpys and
+  // dots staged together travel as one fused request per server: the axpys
+  // apply, then the dots read the updated rows.
+  if (!dot_pairs_.empty() && !axpy_tasks_.empty()) {
+    f.dots_ = client->AxpyDotBatchAsync(axpy_tasks_, dot_pairs_);
+  } else if (!dot_pairs_.empty()) {
+    f.dots_ = client->DotBatchAsync(dot_pairs_);
+  } else if (!axpy_tasks_.empty()) {
+    f.axpys_ = client->AxpyBatchAsync(axpy_tasks_);
+  }
   if (!pull_rows_.empty()) f.pulls_ = client->PullRowsAsync(pull_rows_);
   if (!push_rows_.empty()) {
     f.pushes_ = client->PushRowsAsync(push_rows_, push_deltas_);

@@ -13,6 +13,13 @@
 // (TaskTraffic::pipelined_rounds), so a whole batch costs one round of
 // latency no matter how many kinds it mixes.
 //
+// Axpys and dots staged in one batch share one message per server: a
+// kAxpyBatch request whose dot tail the server evaluates after applying
+// the axpys (DESIGN.md §5b). The order is defined — the batch's axpys, then
+// its dots — so every dot reads the batch's own updates. All of a fused
+// batch's rows must be co-located. DeepWalk stages batch i's axpys with
+// batch i+1's dots this way.
+//
 //   DcvBatch batch = ctx.Batch();
 //   size_t uv = batch.Dot(u, v);
 //   batch.Axpy(u, v, -lr);
@@ -83,6 +90,7 @@ class DcvBatch {
   // ---- Staging (no traffic; slot ids index DcvBatchResults) ----
 
   /// Stages a distributed dot; result lands in DcvBatchResults::dots[slot].
+  /// It reads the rows after every Axpy() staged in the same batch.
   size_t Dot(const Dcv& a, const Dcv& b);
 
   /// Stages dst += alpha * src.

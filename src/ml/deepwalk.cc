@@ -77,12 +77,12 @@ Result<TrainReport> TrainDeepWalkPs2(
     uint64_t trained = 0;
     Rng rng = task.rng.Split(0xD33F + epoch);
 
-    // Double-buffered prefetch pipeline (paper §5.1): while batch
-    // i's axpy round is in flight, batch i+1's dot batch is issued
-    // behind it and rides the same latency window — one overlapped
-    // round per batch instead of two serial ones. The prefetched
-    // dots may read embeddings at most one in-flight axpy stale,
-    // the usual hogwild tolerance of skip-gram training.
+    // Double-buffered prefetch pipeline (paper §5.1): batch i's axpys
+    // and batch i+1's dots travel in one DcvBatch — one request per server
+    // per batch. Each server applies the axpys, then evaluates the dots on
+    // the updated rows, so batch i+1 reads batch i's updates; only the
+    // first batch of an epoch sends its dots alone. At most one fused
+    // round is in flight: it is harvested before the next is issued.
     SkipGramBatch bufs[2];
     auto build = [&](size_t begin, size_t end, SkipGramBatch& b) {
       b.pair_rows.clear();
@@ -99,21 +99,22 @@ Result<TrainReport> TrainDeepWalkPs2(
         }
       }
     };
-    auto stage_dots = [&](const SkipGramBatch& b) {
-      DcvBatch dots = ctx->Batch();
+    auto stage_dots = [&](const SkipGramBatch& b, DcvBatch* batch) {
       for (const auto& [a, c] : b.pair_rows) {
-        dots.Dot(model.rows[a], model.rows[c]);
+        batch->Dot(model.rows[a], model.rows[c]);
       }
-      return dots.Submit();
     };
 
     size_t cur = 0;
-    DcvBatch::Future dots_future;
-    DcvBatch::Future axpy_future;
+    // In flight: the current batch's dots (riding the previous batch's
+    // axpys), or after the last batch its axpys alone.
+    DcvBatch::Future pending;
     if (!rows.empty()) {
       if (clock != nullptr) clock->GatePull(task.task_id);
       build(0, std::min(rows.size(), size_t{batch_size}), bufs[0]);
-      dots_future = stage_dots(bufs[0]);
+      DcvBatch first = ctx->Batch();
+      stage_dots(bufs[0], &first);
+      pending = first.Submit();
     }
     for (size_t start = 0; start < rows.size(); start += batch_size) {
       size_t end = std::min(rows.size(), start + batch_size);
@@ -121,7 +122,7 @@ Result<TrainReport> TrainDeepWalkPs2(
       if (end < rows.size()) {
         build(end, std::min(rows.size(), end + batch_size), bufs[1 - cur]);
       }
-      Result<DcvBatchResults> dots = dots_future.Get();
+      Result<DcvBatchResults> dots = pending.Get();
       PS2_CHECK(dots.ok()) << dots.status();
       // Server-side symmetric axpy updates for this batch.
       DcvBatch updates = ctx->Batch();
@@ -134,14 +135,11 @@ Result<TrainReport> TrainDeepWalkPs2(
         updates.Axpy(model.rows[a], model.rows[c], alpha);
         updates.Axpy(model.rows[c], model.rows[a], alpha);
       }
-      // Harvest the previous axpy round before issuing the next:
-      // at most one update round stays in flight.
-      PS2_CHECK_OK(axpy_future.Wait());
-      axpy_future = updates.Submit();
       if (end < rows.size()) {
-        dots_future = stage_dots(bufs[1 - cur]);  // rides the axpy
+        stage_dots(bufs[1 - cur], &updates);  // rides the axpys
         cur = 1 - cur;
       }
+      pending = updates.Submit();
       task.AddWorkerOps(8 * batch.pair_rows.size());
       trained += end - start;
     }
@@ -152,7 +150,7 @@ Result<TrainReport> TrainDeepWalkPs2(
       // other worker's staleness gate back forever.
       clock_future = clock->AdvanceClockAsync(task.task_id);
     }
-    PS2_CHECK_OK(axpy_future.Wait());
+    PS2_CHECK_OK(pending.Wait());
     if (clock_future.valid()) PS2_CHECK_OK(clock_future.Wait());
     // Normalize per dot (positives + negatives).
     return {loss_sum, trained * (1 + negatives)};

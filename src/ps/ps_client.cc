@@ -344,7 +344,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   PsServer* server = master_->server(request.server);
   RpcHeader header = request.header;
   const int max_attempts = options_.max_attempts;
-  const PsOpCode op = PeekOpCode(request.payload.slice());
+  PsOpCode op = PeekOpCode(request.payload.slice());
   // Key-cache miss recovery re-encodes once (below); the guard keeps a
   // byzantine server from looping us.
   bool reencoded = false;
@@ -441,6 +441,26 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
         // there before its range moved: ack it exactly like a dedup hit
         // (every mutating op parses an empty response as an ack).
         out.dedup_hits += 1;
+        if (request.dot_tail != 0) {
+          // A fused kAxpyBatch still owes its dots. Re-aim the dot tail as
+          // a plain kDotBatch under a fresh seq; the routing protocol then
+          // carries it to whichever server owns the range now.
+          BufferWriter writer;
+          writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+          writer.WriteBytes(request.payload.slice().subslice(
+              request.dot_tail, request.payload.size() - request.dot_tail));
+          request.payload = writer.ReleaseShared();
+          request.sections.clear();
+          request.dot_tail = 0;
+          op = PsOpCode::kDotBatch;
+          const int s = request.server;
+          request.header.seq =
+              next_seq_[s].fetch_add(1, std::memory_order_relaxed) + 1;
+          EncodeRequest(&request, /*force_key_install=*/false);
+          header = request.header;
+          --attempt;
+          continue;
+        }
         r.emplace(PsServer::HandleResult{});
         // Falls through to the terminal branch below.
       } else if (msg.find("(fenced)") != std::string::npos) {
@@ -946,11 +966,13 @@ std::vector<AxpyGroup> GroupAxpyTasks(
   return groups;
 }
 
-/// kAxpyBatch body (DESIGN §5b): `groups`, then per group
-/// `anchor(m,r), varint(k<<1 | mirrored), (other(m,r), f64 α)×k`.
+/// kAxpyBatch groups (DESIGN §5b): `groups`, then per group
+/// `anchor(m,r), varint(k<<1 | mirrored), (other(m,r), f64 α)×k`. The
+/// request's dot tail follows them.
 void WriteAxpyGroups(BufferWriter* writer,
                      const std::vector<PsClient::AxpyTask>& tasks,
                      const std::vector<AxpyGroup>& groups) {
+  writer->WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
   writer->WriteVarint(groups.size());
   for (const AxpyGroup& g : groups) {
     const size_t stride = g.mirrored ? 2 : 1;
@@ -1555,15 +1577,24 @@ PsFuture<std::vector<double>> PsClient::DotBatchAsync(
 }
 
 PsFuture<std::vector<double>> PsClient::SubmitDotBatch(
-    const MatrixMeta& meta,
-    const std::vector<std::pair<RowRef, RowRef>>& pairs) {
+    const MatrixMeta& meta, const std::vector<std::pair<RowRef, RowRef>>& pairs,
+    const std::vector<AxpyTask>* axpys) {
   using Out = std::vector<double>;
+  std::vector<AxpyGroup> groups;
+  if (axpys != nullptr) groups = GroupAxpyTasks(*axpys);
   std::vector<ServerRequest> requests;
   for (int p : ServerPartitions(meta.partitioner)) {
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+    size_t dot_tail = 0;
+    if (axpys != nullptr) {
+      WriteAxpyGroups(&writer, *axpys, groups);
+      if (!pairs.empty()) dot_tail = writer.size();
+    } else {
+      writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+    }
     WriteDotRuns(&writer, pairs);
     requests.push_back(MakeRouted(meta, p, &writer));
+    requests.back().dot_tail = dot_tail;
   }
   const size_t count = pairs.size();
   return SubmitAsync<Out>(
@@ -1571,6 +1602,7 @@ PsFuture<std::vector<double>> PsClient::SubmitDotBatch(
       [count](std::vector<PsServer::HandleResult>&& results,
               TaskTraffic*) -> Result<Out> {
         Out out(count, 0.0);
+        if (count == 0) return out;  // a kAxpyBatch without dots acks empty
         for (const auto& result : results) {
           BufferReader reader(result.response);
           PS2_RETURN_NOT_OK(ReadRowCount(&reader, count));
@@ -1584,28 +1616,36 @@ PsFuture<std::vector<double>> PsClient::SubmitDotBatch(
 }
 
 PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
-  if (tasks.empty()) return ReadyFuture<Ack>(Ack{});
+  // A kAxpyBatch without dots: its dot tail is empty and it acks empty.
+  return AxpyDotBatchAsync(tasks, {}).Then(
+      [](Result<std::vector<double>>&& dots) -> Result<Ack> {
+        PS2_RETURN_NOT_OK(dots.status());
+        return Ack{};
+      });
+}
+
+PsFuture<std::vector<double>> PsClient::AxpyDotBatchAsync(
+    const std::vector<AxpyTask>& tasks,
+    const std::vector<std::pair<RowRef, RowRef>>& pairs) {
+  using Out = std::vector<double>;
+  if (tasks.empty() && pairs.empty()) return ReadyFuture<Out>(Out{});
   std::vector<RowRef> all;
   for (const auto& t : tasks) {
     all.push_back(t.dst);
     all.push_back(t.src);
   }
+  for (const auto& [a, b] : pairs) {
+    all.push_back(a);
+    all.push_back(b);
+  }
   MatrixMeta meta;
   Result<bool> colocated = CoLocated(all, &meta);
-  if (!colocated.ok()) return ReadyFuture<Ack>(colocated.status());
+  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
   if (!*colocated) {
-    return ReadyFuture<Ack>(Status::FailedPrecondition(
+    return ReadyFuture<Out>(Status::FailedPrecondition(
         "axpy-batch requires co-located DCVs; create them with derive"));
   }
-  const std::vector<AxpyGroup> groups = GroupAxpyTasks(tasks);
-  std::vector<ServerRequest> requests;
-  for (int p : ServerPartitions(meta.partitioner)) {
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
-    WriteAxpyGroups(&writer, tasks, groups);
-    requests.push_back(MakeRouted(meta, p, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return SubmitDotBatch(meta, pairs, &tasks);
 }
 
 PsFuture<std::vector<std::vector<double>>> PsClient::PullRowsAsync(

@@ -113,6 +113,9 @@ class PsClient {
   PsClient(const PsClient&) = delete;
   PsClient& operator=(const PsClient&) = delete;
 
+  /// This client's id in every tracked request's RpcHeader.
+  int client_id() const { return client_id_; }
+
   // ---- Row access ops (paper Table 1: pull, push, sum, nnz, norm2) ----
 
   /// Pulls a whole row as a dense vector.
@@ -198,6 +201,12 @@ class PsClient {
   PsFuture<std::vector<double>> DotBatchAsync(
       const std::vector<std::pair<RowRef, RowRef>>& pairs);
   PsFuture<Ack> AxpyBatchAsync(const std::vector<AxpyTask>& tasks);
+  /// One kAxpyBatch request per server that applies `tasks`, then answers
+  /// `pairs` from the post-axpy state (DESIGN.md §5b). Every row must be
+  /// co-located with every other.
+  PsFuture<std::vector<double>> AxpyDotBatchAsync(
+      const std::vector<AxpyTask>& tasks,
+      const std::vector<std::pair<RowRef, RowRef>>& pairs);
   PsFuture<std::vector<std::vector<double>>> PullRowsAsync(
       const std::vector<RowRef>& rows);
   PsFuture<Ack> PushRowsAsync(const std::vector<RowRef>& rows,
@@ -293,6 +302,9 @@ class PsClient {
     int route_partition = -1;
     bool hash_routed = false;
     RowRef hash_ref;
+    /// kAxpyBatch with dots: the payload offset of its dot tail (0 = none).
+    /// An `(applied)` rejection re-aims the tail as a plain kDotBatch.
+    size_t dot_tail = 0;
   };
 
   /// Result of driving one request through the retry loop.
@@ -400,10 +412,13 @@ class PsClient {
   PsFuture<Ack> SubmitPushSparseRows(
       const MatrixMeta& meta, const std::vector<RowRef>& rows,
       const std::vector<const SparseVector*>& deltas, bool compress_counts);
-  /// kDotBatch: per-pair partial dots summed over the servers.
+  /// kDotBatch: per-pair partial dots summed over the servers. With
+  /// `axpys` the request is a kAxpyBatch that applies them first and
+  /// carries the dots as its tail.
   PsFuture<std::vector<double>> SubmitDotBatch(
       const MatrixMeta& meta,
-      const std::vector<std::pair<RowRef, RowRef>>& pairs);
+      const std::vector<std::pair<RowRef, RowRef>>& pairs,
+      const std::vector<AxpyTask>* axpys = nullptr);
 
   /// Refreshes a hot row whole from its home server's replica (a one-row
   /// kPullDense over [0, dim)) and warms the cache with it.

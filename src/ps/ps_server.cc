@@ -523,12 +523,21 @@ Result<PsServer::HandleResult> PsServer::HandleInternal(
   if (payload.empty()) return Status::InvalidArgument("empty request");
   const bool mutating = IsMutatingOpcode(static_cast<PsOpCode>(payload[0]));
   if (mutating && IsDuplicateLocked(header.client_id, header.seq)) {
-    // Retry of an already-applied mutation: ack without re-applying — and
-    // without decoding, so a replayed request can never re-touch key-cache
-    // state. All mutating client ops are ack-parsed, so the empty response
-    // is valid.
-    dedup_hits_ += 1;
+    // Retry of an already-applied mutation: ack without re-applying — and,
+    // for every opcode but kAxpyBatch, without decoding, so a replayed
+    // request can never re-touch key-cache state. Those ops are ack-parsed,
+    // so the empty response is valid. A kAxpyBatch may carry a dot tail the
+    // client still needs answered: its replay recomputes the dots from
+    // current state (DESIGN §6) rather than storing every response. Its body
+    // has no key sections, so decoding it leaves the key cache alone.
     HandleResult out;
+    if (static_cast<PsOpCode>(payload[0]) == PsOpCode::kAxpyBatch) {
+      PS2_RETURN_NOT_OK(decode());
+      BufferReader in(payload);
+      PS2_RETURN_NOT_OK(in.ReadU8().status());
+      PS2_ASSIGN_OR_RETURN(out, HandleAxpyBatch(&in, /*replay=*/true));
+    }
+    dedup_hits_ += 1;
     out.dedup_hit = true;
     return out;
   }
@@ -544,7 +553,7 @@ void PsServer::EncodeResponse(const RpcHeader& header, HandleResult* out) {
   // Response-side filtering (delta/compress only — key caching is
   // request-side). Untracked traffic (control plane, legacy callers) is
   // never filtered: those callers parse the response directly.
-  if (!header.tracked() || out->dedup_hit || out->response.empty()) return;
+  if (!header.tracked() || out->response.empty()) return;
   const uint8_t want = filters_.bits & (kFilterDelta | kFilterCompress);
   if (want == 0) return;
   FilterContext ctx;
@@ -583,7 +592,7 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
     case PsOpCode::kDotBatch:
       return HandleDotBatch(&in);
     case PsOpCode::kAxpyBatch:
-      return HandleAxpyBatch(&in);
+      return HandleAxpyBatch(&in, /*replay=*/false);
     case PsOpCode::kMatrixInit:
       return HandleMatrixInit(&in);
     case PsOpCode::kHotSetUpdate:
@@ -988,14 +997,13 @@ Result<PsServer::HandleResult> PsServer::HandleZipAggregate(BufferReader* in) {
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandleDotBatch(BufferReader* in) {
+Result<uint64_t> PsServer::WalkDotRuns(BufferReader* in, BufferWriter* writer,
+                                       uint64_t* ops) {
   // `count`, then runs `a(m,r), k, b(m,r)×k` whose lengths sum to `count`
   // (DESIGN §5b). One operand must be a primary slice here; the other may
   // be a replica read at that slice.
   PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(2));
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(count);
+  if (writer != nullptr) writer->WriteVarint(count);
   for (uint64_t left = count; left > 0;) {
     PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
@@ -1028,69 +1036,96 @@ Result<PsServer::HandleResult> PsServer::HandleDotBatch(BufferReader* in) {
                                             static_cast<uint32_t>(ra), begin,
                                             width));
       }
+      if (writer == nullptr) continue;
       double partial = 0.0;
-      out.server_ops += kernels::Dot(a, b, width, &partial);
-      writer.WriteF64(partial);
+      *ops += kernels::Dot(a, b, width, &partial);
+      writer->WriteF64(partial);
     }
   }
+  return count;
+}
+
+Result<PsServer::HandleResult> PsServer::HandleDotBatch(BufferReader* in) {
+  HandleResult out;
+  BufferWriter writer;
+  PS2_RETURN_NOT_OK(WalkDotRuns(in, &writer, &out.server_ops).status());
   out.response = writer.Release();
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandleAxpyBatch(BufferReader* in) {
+Status PsServer::WalkAxpyGroups(BufferReader* in, uint64_t* ops) {
   // `groups`, then per group `anchor(m,r), varint(k<<1 | mirrored),
   // (other(m,r), f64 α)×k` (DESIGN §5b). A plain entry is
   // `anchor += α·other`; a mirrored one is that, then `other += α·anchor`.
   // A destination must be a primary slice; a source may be a replica.
-  // The body is walked twice: the first pass resolves every row of every
-  // group and stops at the first bad one, the second applies in task order.
-  // A rejected request is not recorded for dedup, so it must apply nothing;
-  // walking twice keeps that without buffering the resolved tasks.
-  HandleResult out;
-  const BufferReader body = *in;
-  for (const bool apply : {false, true}) {
-    *in = body;
-    PS2_ASSIGN_OR_RETURN(uint64_t groups, in->ReadCount(3));
-    for (uint64_t g = 0; g < groups; ++g) {
-      PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t mode, in->ReadVarint());
-      const bool mirrored = (mode & 1) != 0;
-      const uint64_t k = mode >> 1;
-      // Each entry is at least a two-byte row ref and an f64.
-      if (k == 0 || k > in->remaining() / 10) {
-        return Status::OutOfRange("axpy group length exceeds buffer");
+  PS2_ASSIGN_OR_RETURN(uint64_t groups, in->ReadCount(3));
+  for (uint64_t g = 0; g < groups; ++g) {
+    PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t mode, in->ReadVarint());
+    const bool mirrored = (mode & 1) != 0;
+    const uint64_t k = mode >> 1;
+    // Each entry is at least a two-byte row ref and an f64.
+    if (k == 0 || k > in->remaining() / 10) {
+      return Status::OutOfRange("axpy group length exceeds buffer");
+    }
+    const int anchor_m = static_cast<int>(ma);
+    const uint32_t anchor_r = static_cast<uint32_t>(ra);
+    uint64_t wa = 0, ba = 0;
+    PS2_ASSIGN_OR_RETURN(double* anchor,
+                         DenseRow(anchor_m, anchor_r, &wa, &ba));
+    for (uint64_t i = 0; i < k; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t mo, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t ro, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(double alpha, in->ReadF64());
+      const int other_m = static_cast<int>(mo);
+      const uint32_t other_r = static_cast<uint32_t>(ro);
+      PS2_ASSIGN_OR_RETURN(const double* other_view,
+                           ReadRowView(other_m, other_r, ba, wa));
+      if (ops != nullptr) {
+        TouchRowIdLocked(anchor_m, ra);
+        *ops += kernels::Axpy(anchor, other_view, alpha, wa);
       }
-      const int anchor_m = static_cast<int>(ma);
-      const uint32_t anchor_r = static_cast<uint32_t>(ra);
-      uint64_t wa = 0, ba = 0;
-      PS2_ASSIGN_OR_RETURN(double* anchor,
-                           DenseRow(anchor_m, anchor_r, &wa, &ba));
-      for (uint64_t i = 0; i < k; ++i) {
-        PS2_ASSIGN_OR_RETURN(uint64_t mo, in->ReadVarint());
-        PS2_ASSIGN_OR_RETURN(uint64_t ro, in->ReadVarint());
-        PS2_ASSIGN_OR_RETURN(double alpha, in->ReadF64());
-        const int other_m = static_cast<int>(mo);
-        const uint32_t other_r = static_cast<uint32_t>(ro);
-        PS2_ASSIGN_OR_RETURN(const double* other_view,
-                             ReadRowView(other_m, other_r, ba, wa));
-        if (apply) {
-          TouchRowIdLocked(anchor_m, ra);
-          out.server_ops += kernels::Axpy(anchor, other_view, alpha, wa);
-        }
-        if (!mirrored) continue;
-        uint64_t wo = 0, bo = 0;
-        PS2_ASSIGN_OR_RETURN(double* other,
-                             DenseRow(other_m, other_r, &wo, &bo));
-        PS2_ASSIGN_OR_RETURN(const double* anchor_view,
-                             ReadRowView(anchor_m, anchor_r, bo, wo));
-        if (apply) {
-          TouchRowIdLocked(other_m, ro);
-          out.server_ops += kernels::Axpy(other, anchor_view, alpha, wo);
-        }
+      if (!mirrored) continue;
+      uint64_t wo = 0, bo = 0;
+      PS2_ASSIGN_OR_RETURN(double* other, DenseRow(other_m, other_r, &wo, &bo));
+      PS2_ASSIGN_OR_RETURN(const double* anchor_view,
+                           ReadRowView(anchor_m, anchor_r, bo, wo));
+      if (ops != nullptr) {
+        TouchRowIdLocked(other_m, ro);
+        *ops += kernels::Axpy(other, anchor_view, alpha, wo);
       }
     }
   }
+  return Status::OK();
+}
+
+Result<PsServer::HandleResult> PsServer::HandleAxpyBatch(BufferReader* in,
+                                                         bool replay) {
+  // The axpy groups, then a kDotBatch body as the dot tail (`count` = 0 when
+  // there are none; DESIGN §5b). The groups apply in task order, then the
+  // dots read the post-axpy state and answer as a kDotBatch response; with
+  // no dots the response is an empty ack.
+  // The groups are walked twice: the first pass resolves every row of every
+  // group and of the dot tail and stops at the first bad one, the second
+  // applies. A rejected request is not recorded for dedup, so it must apply
+  // nothing; walking twice keeps that without buffering the resolved tasks.
+  // A `replay` (a dedup hit) skips the second pass: it applies nothing and
+  // only answers the dots, from current state.
+  HandleResult out;
+  const BufferReader groups = *in;
+  PS2_RETURN_NOT_OK(WalkAxpyGroups(in, nullptr));
+  const BufferReader tail = *in;
+  PS2_RETURN_NOT_OK(WalkDotRuns(in, nullptr, nullptr).status());
+  if (!replay) {
+    *in = groups;
+    PS2_RETURN_NOT_OK(WalkAxpyGroups(in, &out.server_ops));
+  }
+  *in = tail;
+  BufferWriter writer;
+  PS2_ASSIGN_OR_RETURN(uint64_t dots,
+                       WalkDotRuns(in, &writer, &out.server_ops));
+  if (dots > 0) out.response = writer.Release();
   return out;
 }
 
@@ -1741,6 +1776,20 @@ std::vector<uint8_t> PsServer::SerializeState() const {
 
 Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Validate, then apply: every section is parsed into staging first, and
+  // server state changes only once the whole image has parsed, so a corrupt
+  // image leaves the server exactly as it was.
+  struct StagedShard {
+    Shard* shard = nullptr;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    std::vector<std::vector<double>> dense_rows;
+    std::vector<std::map<uint64_t, double>> sparse_rows;
+  };
+  std::vector<StagedShard> shards;
+  std::map<std::pair<int, uint32_t>, Replica> replicas;
+  std::map<int, ClientDedup> dedup;
+  std::vector<uint64_t> clocks;
   BufferReader in(buffer);
   PS2_ASSIGN_OR_RETURN(uint64_t n_shards, in.ReadVarint());
   for (uint64_t s = 0; s < n_shards; ++s) {
@@ -1752,100 +1801,118 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     if (it == shards_.end()) {
       return Status::NotFound("checkpoint contains unknown matrix shard");
     }
-    Shard& shard = it->second;
-    if (static_cast<MatrixStorage>(storage) != shard.meta.storage) {
+    StagedShard staged;
+    staged.shard = &it->second;
+    if (static_cast<MatrixStorage>(storage) != staged.shard->meta.storage) {
       return Status::Internal("checkpoint storage kind mismatch");
     }
     if (img_begin > img_end) {
       return Status::Internal("checkpoint shard bounds invalid");
     }
     PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in.ReadVarint());
-    if (n_rows != shard.meta.num_rows) {
+    if (n_rows != staged.shard->meta.num_rows) {
       return Status::Internal("checkpoint row count mismatch");
     }
     // The image is authoritative for bounds: a checkpoint written before a
     // migration restores the pre-migration span, and the master reconciles
     // it against the current routing table afterwards
     // (PsServer::ReconcileShardBounds — DESIGN.md §12).
-    shard.begin = img_begin;
-    shard.end = img_end;
-    if (shard.dense()) {
-      for (uint64_t r = 0; r < n_rows; ++r) {
-        PS2_ASSIGN_OR_RETURN(std::vector<double> row,
-                             in.ReadPodVector<double>());
+    staged.begin = img_begin;
+    staged.end = img_end;
+    if (staged.shard->dense()) {
+      staged.dense_rows.resize(n_rows);
+      for (std::vector<double>& row : staged.dense_rows) {
+        PS2_ASSIGN_OR_RETURN(row, in.ReadPodVector<double>());
         if (row.size() != img_end - img_begin) {
           return Status::Internal("checkpoint row width mismatch");
         }
-        shard.dense_rows[r] = std::move(row);
       }
     } else {
-      for (uint64_t r = 0; r < n_rows; ++r) {
+      staged.sparse_rows.resize(n_rows);
+      for (std::map<uint64_t, double>& row : staged.sparse_rows) {
         PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-        shard.sparse_rows[r].clear();
         uint64_t prev = 0;
         for (uint64_t i = 0; i < nnz; ++i) {
           PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
           prev += delta;
-          PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
-          shard.sparse_rows[r][prev] = v;
+          PS2_ASSIGN_OR_RETURN(row[prev], in.ReadF64());
         }
       }
     }
+    shards.push_back(std::move(staged));
   }
-  replicas_.clear();
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §5d replicas
-  PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
-  for (uint64_t i = 0; i < n_replicas; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in.ReadVarint());
-    Replica replica;
-    PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
-    if (!replica.values.empty() && replica.values.size() != replica.dim) {
-      return Status::Internal("checkpoint replica width mismatch");
+  // Each later section is optional: an image that ends before it predates
+  // it (§5d replicas, §6 dedup, §11 clocks).
+  if (!in.AtEnd()) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
+    for (uint64_t i = 0; i < n_replicas; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t m, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t row, in.ReadVarint());
+      Replica replica;
+      PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
+      if (!replica.values.empty() && replica.values.size() != replica.dim) {
+        return Status::Internal("checkpoint replica width mismatch");
+      }
+      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
+      uint64_t prev = 0;
+      for (uint64_t j = 0; j < nnz; ++j) {
+        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
+        prev += delta;
+        PS2_ASSIGN_OR_RETURN(replica.pending[prev], in.ReadF64());
+      }
+      replicas[{static_cast<int>(m), static_cast<uint32_t>(row)}] =
+          std::move(replica);
     }
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-    uint64_t prev = 0;
-    for (uint64_t j = 0; j < nnz; ++j) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-      prev += delta;
-      PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
-      replica.pending[prev] = v;
-    }
-    replicas_.emplace(
-        std::make_pair(static_cast<int>(m), static_cast<uint32_t>(row)),
-        std::move(replica));
   }
-  dedup_.clear();
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §6 dedup
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
-  for (uint64_t i = 0; i < n_clients; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
-    ClientDedup d;
-    PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());
-    uint64_t prev = d.floor;
-    for (uint64_t j = 0; j < n_seen; ++j) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-      prev += delta;
-      d.seen.insert(prev);
+  if (!in.AtEnd()) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
+    for (uint64_t i = 0; i < n_clients; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
+      ClientDedup d;
+      PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());
+      uint64_t prev = d.floor;
+      for (uint64_t j = 0; j < n_seen; ++j) {
+        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
+        prev += delta;
+        d.seen.insert(prev);
+      }
+      dedup[static_cast<int>(client_id)] = std::move(d);
     }
-    dedup_[static_cast<int>(client_id)] = std::move(d);
+  }
+  if (!in.AtEnd()) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount());
+    clocks.resize(n_clocks);
+    for (uint64_t& c : clocks) {
+      PS2_ASSIGN_OR_RETURN(c, in.ReadVarint());
+    }
+  }
+  // Apply.
+  for (StagedShard& staged : shards) {
+    staged.shard->begin = staged.begin;
+    staged.shard->end = staged.end;
+    if (staged.shard->dense()) {
+      staged.shard->dense_rows = std::move(staged.dense_rows);
+    } else {
+      staged.shard->sparse_rows = std::move(staged.sparse_rows);
+    }
+  }
+  replicas_ = std::move(replicas);
+  dedup_ = std::move(dedup);
+  // Max-merge into whatever the vector holds: clock advances applied after
+  // the checkpoint (replayed via retries during recovery) must not be
+  // rewound by restoring the older image.
+  if (worker_clocks_.size() < clocks.size()) {
+    worker_clocks_.resize(clocks.size(), 0);
+  }
+  for (size_t w = 0; w < clocks.size(); ++w) {
+    worker_clocks_[w] = std::max(worker_clocks_[w], clocks[w]);
   }
   // Restored values differ from whatever the row versions said: stamp every
   // row so the next snapshot publish re-copies from the restored state.
   TouchAllRowsLocked();
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §11 clocks
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount());
-  // Max-merge into whatever the vector holds: clock advances applied after
-  // the checkpoint (replayed via retries during recovery) must not be
-  // rewound by restoring the older image.
-  if (worker_clocks_.size() < n_clocks) worker_clocks_.resize(n_clocks, 0);
-  for (uint64_t w = 0; w < n_clocks; ++w) {
-    PS2_ASSIGN_OR_RETURN(uint64_t c, in.ReadVarint());
-    worker_clocks_[w] = std::max(worker_clocks_[w], c);
-  }
   return Status::OK();
 }
 

@@ -172,7 +172,8 @@ class PsServer {
   /// Data plane: executes one serialized request stamped with `header`.
   /// For tracked mutating requests the per-client dedup table is consulted
   /// first: a retry of an already-applied sequence number is acked with an
-  /// empty response instead of re-applying (DESIGN.md §6). Returns
+  /// empty response instead of re-applying — a kAxpyBatch retry answers its
+  /// dot tail from current state (DESIGN.md §6). Returns
   /// Unavailable while the server is crashed.
   Result<HandleResult> Handle(const RpcHeader& header,
                               const std::vector<uint8_t>& request);
@@ -419,7 +420,16 @@ class PsServer {
   Result<HandleResult> HandleZip(BufferReader* in);
   Result<HandleResult> HandleZipAggregate(BufferReader* in);
   Result<HandleResult> HandleDotBatch(BufferReader* in);
-  Result<HandleResult> HandleAxpyBatch(BufferReader* in);
+  /// `replay`: a dedup hit — apply nothing, answer the dot tail.
+  Result<HandleResult> HandleAxpyBatch(BufferReader* in, bool replay);
+  /// Walks a kDotBatch body, resolving every row; with `writer` it also
+  /// evaluates each pair into `writer` (the kDotBatch response) and adds
+  /// the kernel ops to `*ops`. Returns the pair count.
+  Result<uint64_t> WalkDotRuns(BufferReader* in, BufferWriter* writer,
+                               uint64_t* ops);
+  /// Walks kAxpyBatch groups, resolving every row; with `ops` it also
+  /// applies each entry and adds the kernel ops to `*ops`.
+  Status WalkAxpyGroups(BufferReader* in, uint64_t* ops);
   Result<HandleResult> HandleMatrixInit(BufferReader* in);
   Result<HandleResult> HandleHotSetUpdate(BufferReader* in);
   Result<HandleResult> HandleReplicaSync(BufferReader* in);

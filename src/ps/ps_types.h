@@ -70,7 +70,7 @@ enum class PsOpCode : uint8_t {
   kZip = 6,
   kZipAggregate = 7,
   kDotBatch = 8,     ///< many row-pair partial dots (Dcv::Dot is one pair)
-  kAxpyBatch = 9,    ///< many dst += alpha*src updates in one round (DeepWalk)
+  kAxpyBatch = 9,    ///< many dst += alpha*src updates, then dots (DeepWalk)
   kMatrixInit = 10,  ///< hash-random init of whole-matrix row ranges
   // Hot-parameter management (DESIGN.md §5d).
   kHotSetUpdate = 11,  ///< master installs the replicated hot-row set

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/serde.h"
+#include "dcv/dcv_batch.h"
 #include "dcv/dcv_context.h"
 #include "net/message.h"
 
@@ -229,6 +230,58 @@ TEST_F(DcvTest, GroupedAxpyBatchEqualsOneTaskBatches) {
   }
 }
 
+TEST_F(DcvTest, FusedAxpyDotBatchEqualsAxpyThenDot) {
+  // Two identically initialized matrices: one stages axpys and dots in one
+  // DcvBatch (one fused request per server), the other awaits the axpy
+  // batch and then issues the dot batch.
+  std::vector<Dcv> fused = *ctx_->DenseMatrix(40, 8, 0.5, 13, "fused");
+  const std::vector<RowRef> split =
+      Refs(*ctx_->DenseMatrix(40, 8, 0.5, 13, "split"));
+  struct Task {
+    int dst, src;
+    double alpha;
+  };
+  const std::vector<Task> tasks = {
+      // Mirrored groups anchored at 0 and at 1, then plain updates.
+      {0, 4, 0.25}, {4, 0, 0.25}, {0, 5, -0.5}, {5, 0, -0.5},
+      {1, 6, 0.125}, {6, 1, 0.125}, {2, 7, 1.5}, {2, 3, -0.75}};
+  // A run of row 3 over several axpy anchors, then runs of written rows.
+  const std::vector<std::pair<int, int>> pairs = {
+      {3, 0}, {3, 1}, {3, 2}, {3, 4}, {0, 4}, {0, 5}, {6, 6}, {7, 2}};
+  DcvBatch batch = ctx_->Batch();
+  std::vector<PsClient::AxpyTask> split_tasks;
+  for (const Task& t : tasks) {
+    batch.Axpy(fused[t.dst], fused[t.src], t.alpha);
+    split_tasks.push_back({split[t.dst], split[t.src], t.alpha});
+  }
+  std::vector<std::pair<RowRef, RowRef>> split_pairs;
+  for (const auto& [a, b] : pairs) {
+    batch.Dot(fused[a], fused[b]);
+    split_pairs.push_back({split[a], split[b]});
+  }
+  const MetricsRegistry& m = cluster_->metrics();
+  const uint64_t msgs0 = m.Get("net.messages");
+  Result<DcvBatchResults> got = batch.Execute();
+  ASSERT_TRUE(got.ok()) << got.status();
+  // One request and one response per server.
+  EXPECT_EQ(m.Get("net.messages") - msgs0,
+            2u * static_cast<uint64_t>(cluster_->spec().num_servers));
+
+  ASSERT_TRUE(ctx_->client()->AxpyBatchAsync(split_tasks).Wait().ok());
+  std::vector<double> want = *ctx_->client()->DotBatchAsync(split_pairs).Get();
+  ASSERT_EQ(got->dots.size(), want.size());
+  EXPECT_EQ(std::memcmp(got->dots.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
+  for (size_t i = 0; i < split.size(); ++i) {
+    std::vector<double> a = *fused[i].Pull();
+    std::vector<double> b = *ctx_->client()->PullDense(split[i]);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "row " << i;
+  }
+}
+
 TEST_F(DcvTest, DeepWalkShapedBatchRequestsShrink) {
   // One positive pair and five negatives share their input row; each
   // update is the symmetric axpy pair. Row ids past 127 take two varint
@@ -276,6 +329,7 @@ TEST_F(DcvTest, DeepWalkShapedBatchRequestsShrink) {
     ref(&flat_axpy, t.src);
     flat_axpy.WriteF64(t.alpha);
   }
+  flat_axpy.WriteVarint(0);  // dot tail count
   const uint64_t dot = payload_per_message(
       [&] { ASSERT_TRUE(ctx_->client()->DotBatchAsync(pairs).Get().ok()); });
   const uint64_t axpy = payload_per_message(

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <thread>
 #include <vector>
 
+#include "common/serde.h"
 #include "membership/membership_manager.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
@@ -250,6 +254,108 @@ TEST(MigrationTest, KillAndRecoverBetweenJoinsRestoresNewBounds) {
   }
   EXPECT_EQ(master.routing_epoch(), 4u);
   EXPECT_GT(cluster.metrics().Get("ps.server_failures"), 0u);
+}
+
+TEST(MigrationTest, AppliedFusedAxpyDotReaimsItsDotsToTheNewOwner) {
+  // A fused axpy+dot request ran on the old owner but its response was
+  // lost, then the range moved. The old owner's `(applied)` rejection must
+  // not re-apply the axpys anywhere, and the dots must still be answered —
+  // by the new owner, as a plain kDotBatch.
+  ClusterSpec spec;
+  spec.num_workers = 1;
+  spec.num_servers = 2;
+  Cluster cluster(spec);
+  PsMaster master(&cluster);
+  PsClient setup(&master);
+  auto key_matrix = [&master] {
+    MatrixOptions mo;
+    mo.dim = 8;
+    mo.reserve_rows = 2;
+    mo.home_server = 0;
+    Result<int> id = master.CreateMatrix(mo);
+    EXPECT_TRUE(id.ok()) << id.status();
+    return *id;
+  };
+  const int id = key_matrix();
+  const int ref_id = key_matrix();  // takes the axpys exactly once
+  for (int m : {id, ref_id}) {
+    ASSERT_TRUE(setup.PushDense({m, 0}, Pattern(8)).ok());
+    ASSERT_TRUE(setup.PushDense({m, 1}, std::vector<double>(8, -0.25)).ok());
+  }
+  const double alpha = 0.125;
+  const RowRef u{id, 0}, v{id, 1};
+  const RowRef ref_u{ref_id, 0}, ref_v{ref_id, 1};
+  const std::vector<PsClient::AxpyTask> once = {{ref_u, ref_v, alpha},
+                                                {ref_v, ref_u, alpha}};
+  ASSERT_TRUE(setup.AxpyBatchAsync(once).Wait().ok());
+
+  // The lost first attempt, encoded as the client encodes it: one
+  // mirrored group, then the dot runs (u, u), (u, v).
+  PsClient client(&master);  // fresh, so its first request to server 0 is seq 1
+  BufferWriter fused;
+  fused.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+  fused.WriteVarint(1);
+  fused.WriteVarint(id);
+  fused.WriteVarint(0);
+  fused.WriteVarint(1 << 1 | 1);
+  fused.WriteVarint(id);
+  fused.WriteVarint(1);
+  fused.WriteF64(alpha);
+  fused.WriteVarint(2);
+  fused.WriteVarint(id);
+  fused.WriteVarint(0);
+  fused.WriteVarint(2);
+  for (uint32_t row : {0, 1}) {
+    fused.WriteVarint(id);
+    fused.WriteVarint(row);
+  }
+  Result<MatrixMeta> meta = master.GetMeta(id);
+  ASSERT_TRUE(meta.ok());
+  RpcHeader first;
+  first.client_id = client.client_id();
+  first.seq = 1;
+  first.routing_epoch = meta->routing_epoch + 1;
+  ASSERT_TRUE(master.server(0)->Handle(first, fused.buffer()).ok());
+
+  // Fenced before the client plans, so its request meets the old owner's
+  // `(applied)` rejection whether it lands before or after the commit.
+  master.server(0)->FenceForMigration();
+  Result<std::vector<double>> dots = Status::Internal("not issued");
+  std::atomic<bool> done{false};
+  std::thread issuer([&] {
+    dots = client.AxpyDotBatchAsync({{u, v, alpha}, {v, u, alpha}},
+                                    {{u, u}, {u, v}})
+               .Get();
+    done = true;
+  });
+  while (client.async_stats().issued == 0 && !done) {
+    std::this_thread::yield();
+  }
+  Result<MigrationStats> moved =
+      master.membership()->RelocateMatrices({{id, 1}});
+  issuer.join();
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ASSERT_TRUE(dots.ok()) << dots.status();
+  EXPECT_EQ(master.GetMeta(id)->partitioner.ServerOfPartition(0), 1);
+  EXPECT_GT(cluster.metrics().Get("net.routing_refetches"), 0u);
+
+  // The axpys applied once ...
+  const std::pair<RowRef, RowRef> checks[] = {{u, ref_u}, {v, ref_v}};
+  for (const auto& [row, ref] : checks) {
+    std::vector<double> got = *setup.PullDense(row);
+    std::vector<double> want = *setup.PullDense(ref);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "row " << row.row;
+  }
+  // ... and the dots are the new owner's answer on the post-axpy state.
+  std::vector<double> fresh = *setup.DotBatchAsync({{u, u}, {u, v}}).Get();
+  ASSERT_EQ(dots->size(), fresh.size());
+  EXPECT_EQ(std::memcmp(dots->data(), fresh.data(),
+                        fresh.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

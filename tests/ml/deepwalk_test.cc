@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/pspp_deepwalk.h"
 #include "data/graph_gen.h"
+#include "obs/trace.h"
 
 namespace ps2 {
 namespace {
@@ -143,6 +146,61 @@ TEST_F(DeepWalkTest, Ps2FasterThanPullPushAtRealisticEmbeddingDim) {
       TrainDeepWalkPsPullPush(&fresh, pairs_, frequencies_, options).ok());
   SimTime pspp_time = cluster_->clock().Now() - t0;
   EXPECT_GT(pspp_time, 1.5 * ps2_time);
+}
+
+TEST_F(DeepWalkTest, ConvergesUnderMessageFaults) {
+  // Lost requests and lost responses on the fused axpy+dot requests: the
+  // retried axpys dedup, the replayed dots are recomputed, and training
+  // still converges.
+  ClusterSpec spec = cluster_->spec();
+  spec.message_failure_prob = 0.02;
+  spec.seed = 41;
+  Cluster faulty(spec);
+  Dataset<VertexPair> pairs =
+      MakeWalkPairDataset(&faulty, SmallGraph()).Cache();
+  DcvContext ctx(&faulty);
+  TrainReport report = *TrainDeepWalkPs2(&ctx, pairs, frequencies_, Options());
+  EXPECT_TRUE(std::isfinite(report.final_loss));
+  EXPECT_LT(report.final_loss, std::log(2.0));  // the untrained loss
+  EXPECT_GT(faulty.metrics().Get("net.retries"), 0u);
+  EXPECT_GT(faulty.metrics().Get("ps.dedup_hits"), 0u);
+}
+
+TEST_F(DeepWalkTest, OneRequestPerBatchPerServer) {
+  // One partition, so one task runs every batch of an epoch. Per epoch and
+  // server: one dot-only request for the first batch, then one request per
+  // batch carrying its axpys and the next batch's dots (the last batch's
+  // axpys go alone).
+  Dataset<VertexPair> pairs =
+      MakeWalkPairDataset(cluster_.get(), SmallGraph(), 1).Cache();
+  DeepWalkOptions options = Options();
+  options.batch_size = 256;
+  const uint64_t num_pairs = pairs.Collect().size();
+  const uint64_t batches =
+      (num_pairs + options.batch_size - 1) / options.batch_size;
+  ASSERT_GT(batches, 2u);
+  const uint64_t servers = cluster_->spec().num_servers;
+  const uint64_t epochs = options.epochs;
+
+  obs::Tracer::Global().Enable();
+  const uint64_t messages0 = cluster_->metrics().Get("net.messages");
+  ASSERT_TRUE(TrainDeepWalkPs2(ctx_.get(), pairs, frequencies_, options).ok());
+  const uint64_t messages = cluster_->metrics().Get("net.messages") - messages0;
+  std::vector<obs::TraceEvent> spans = obs::Tracer::Global().Collect();
+  obs::Tracer::Global().Disable();
+  obs::Tracer::Global().Clear();
+  uint64_t dot_calls = 0, axpy_calls = 0;
+  for (const obs::TraceEvent& e : spans) {
+    if (std::string(e.category) != "ps.server") continue;
+    dot_calls += e.name == "dot_batch";
+    axpy_calls += e.name == "axpy_batch";
+  }
+  EXPECT_EQ(dot_calls, servers * epochs);
+  EXPECT_EQ(axpy_calls, servers * batches * epochs);
+  // Setup: the embedding matrix's server-side init, one request and one
+  // response per server.
+  const uint64_t setup = 2 * servers;
+  EXPECT_EQ(messages, 2 * servers * (batches + 1) * epochs + setup);
 }
 
 }  // namespace

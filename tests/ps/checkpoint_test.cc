@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/serde.h"
 #include "dataflow/cluster.h"
+#include "ps/partitioner.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "ps/ps_server.h"
 
 namespace ps2 {
 namespace {
@@ -38,6 +45,121 @@ TEST(CheckpointStoreTest, TryGetDistinguishesMissingFromEmpty) {
   // Has()+Get() could not tell this apart from the empty image above —
   // TryGet answers check-and-fetch in one lock acquisition.
   EXPECT_FALSE(store.TryGet(6).has_value());
+}
+
+/// A server image written by hand: a dense shard (matrix 0), a sparse shard
+/// (matrix 1), a replica with pending deltas, one client's dedup entry and
+/// three worker clocks; values are offset by `v`. `counts` receives the
+/// offset of every count in the image.
+std::vector<uint8_t> ServerImage(double v, std::vector<size_t>* counts) {
+  BufferWriter w;
+  auto count = [&](uint64_t n) {
+    if (counts != nullptr) counts->push_back(w.size());
+    w.WriteVarint(n);
+  };
+  count(2);  // shards
+  w.WriteVarint(0);
+  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+  w.WriteVarint(0);
+  w.WriteVarint(8);
+  count(2);  // rows
+  for (int r = 0; r < 2; ++r) {
+    count(8);
+    for (int c = 0; c < 8; ++c) w.WriteF64(v + r - 0.5 * c);
+  }
+  w.WriteVarint(1);
+  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kSparse));
+  w.WriteVarint(0);
+  w.WriteVarint(100);
+  count(2);  // rows
+  for (int r = 0; r < 2; ++r) {
+    count(2);  // nnz
+    w.WriteVarint(3 + r);
+    w.WriteF64(v * 2 + r);
+    w.WriteVarint(40);
+    w.WriteF64(-v);
+  }
+  count(1);  // replicas
+  w.WriteVarint(0);
+  w.WriteVarint(1);
+  w.WriteVarint(8);
+  w.WriteVarint(3);  // version
+  count(8);
+  for (int c = 0; c < 8; ++c) w.WriteF64(v - c);
+  count(2);  // pending
+  w.WriteVarint(2);
+  w.WriteF64(0.25 * v);
+  w.WriteVarint(3);
+  w.WriteF64(-0.5);
+  count(1);  // dedup clients
+  w.WriteVarint(7);
+  w.WriteVarint(4);  // floor
+  count(2);  // seen
+  w.WriteVarint(2);
+  w.WriteVarint(3);
+  count(3);  // worker clocks
+  for (uint64_t c : {2, 5, 1}) w.WriteVarint(c + static_cast<uint64_t>(v));
+  return w.Release();
+}
+
+std::unique_ptr<PsServer> ImageServer(const UdfRegistry* udfs) {
+  auto server = std::make_unique<PsServer>(0, udfs);
+  for (int id : {0, 1}) {
+    MatrixMeta meta;
+    meta.id = id;
+    meta.name = "image";
+    meta.dim = id == 0 ? 8 : 100;
+    meta.num_rows = 2;
+    meta.storage = id == 0 ? MatrixStorage::kDense : MatrixStorage::kSparse;
+    meta.partitioner = *ColumnPartitioner::Make(meta.dim, 1);
+    EXPECT_TRUE(server->CreateMatrixShard(meta).ok());
+  }
+  // The state every corrupt restore must leave untouched.
+  EXPECT_TRUE(server->RestoreState(ServerImage(1.0, nullptr)).ok());
+  return server;
+}
+
+TEST(CheckpointTest, CorruptImageLeavesStateUntouched) {
+  UdfRegistry udfs;
+  std::vector<size_t> counts;
+  const std::vector<uint8_t> image = ServerImage(4.0, &counts);
+  {
+    std::unique_ptr<PsServer> server = ImageServer(&udfs);
+    ASSERT_TRUE(server->RestoreState(image).ok());
+    EXPECT_EQ(server->SerializeState(), image);
+  }
+  std::vector<std::vector<uint8_t>> corrupt;
+  for (size_t len = 0; len < image.size(); ++len) {
+    corrupt.emplace_back(image.begin(), image.begin() + len);
+  }
+  for (size_t at : counts) {
+    BufferReader reader(image.data() + at, image.size() - at);
+    const uint64_t n = *reader.ReadVarint();
+    const size_t width = image.size() - at - reader.remaining();
+    for (uint64_t bad : {n + 1, n == 0 ? 1 : n - 1, uint64_t{1} << 40}) {
+      BufferWriter w;
+      w.WriteBytes(Slice(image.data(), at));
+      w.WriteVarint(bad);
+      w.WriteBytes(Slice(image.data() + at + width,
+                         image.size() - at - width));
+      corrupt.push_back(w.Release());
+    }
+  }
+  // A cut at a section boundary is a valid older image; anything else must
+  // fail without changing a byte of the server's state.
+  size_t restored = 0;
+  for (const std::vector<uint8_t>& bytes : corrupt) {
+    std::unique_ptr<PsServer> server = ImageServer(&udfs);
+    const std::vector<uint8_t> before = server->SerializeState();
+    if (server->RestoreState(bytes).ok()) {
+      restored += 1;
+      continue;
+    }
+    EXPECT_EQ(server->SerializeState(), before)
+        << "image of " << bytes.size() << " bytes";
+  }
+  EXPECT_GE(restored, 3u);  // cut after the shards, replicas and dedup table
+  EXPECT_LT(restored, corrupt.size() / 4);
 }
 
 class ServerRecoveryTest : public ::testing::Test {

@@ -96,24 +96,29 @@ struct DotRun {
   std::vector<uint32_t> bs;
 };
 
-/// `count` defaults to the number of pairs the runs carry.
+/// A kDotBatch body; `count` defaults to the number of pairs the runs carry.
+void WriteDotRuns(BufferWriter* writer, const std::vector<DotRun>& runs,
+                  std::optional<uint64_t> count = std::nullopt) {
+  uint64_t pairs = 0;
+  for (const DotRun& run : runs) pairs += run.bs.size();
+  writer->WriteVarint(count.value_or(pairs));
+  for (const DotRun& run : runs) {
+    writer->WriteVarint(0);
+    writer->WriteVarint(run.a);
+    writer->WriteVarint(run.bs.size());
+    for (uint32_t b : run.bs) {
+      writer->WriteVarint(0);
+      writer->WriteVarint(b);
+    }
+  }
+}
+
 std::vector<uint8_t> DotRunsRequest(
     const std::vector<DotRun>& runs,
     std::optional<uint64_t> count = std::nullopt) {
-  uint64_t pairs = 0;
-  for (const DotRun& run : runs) pairs += run.bs.size();
   BufferWriter writer;
   writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
-  writer.WriteVarint(count.value_or(pairs));
-  for (const DotRun& run : runs) {
-    writer.WriteVarint(0);
-    writer.WriteVarint(run.a);
-    writer.WriteVarint(run.bs.size());
-    for (uint32_t b : run.bs) {
-      writer.WriteVarint(0);
-      writer.WriteVarint(b);
-    }
-  }
+  WriteDotRuns(&writer, runs, count);
   return writer.Release();
 }
 
@@ -125,8 +130,12 @@ struct AxpyGroupSpec {
   std::vector<std::pair<uint32_t, double>> entries;
 };
 
+/// The groups, then `dots` as the dot tail (`tail_count` overrides its
+/// count).
 std::vector<uint8_t> AxpyGroupsRequest(
-    const std::vector<AxpyGroupSpec>& groups) {
+    const std::vector<AxpyGroupSpec>& groups,
+    const std::vector<DotRun>& dots = {},
+    std::optional<uint64_t> tail_count = std::nullopt) {
   BufferWriter writer;
   writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
   writer.WriteVarint(groups.size());
@@ -140,6 +149,7 @@ std::vector<uint8_t> AxpyGroupsRequest(
       writer.WriteF64(alpha);
     }
   }
+  WriteDotRuns(&writer, dots, tail_count);
   return writer.Release();
 }
 
@@ -236,6 +246,12 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
   requests.push_back(AxpyGroupsRequest({{1, true, {{2, 0.25}, {3, 0.5}}}}));
   requests.push_back(AxpyGroupsRequest(
       {{0, true, {{2, 0.5}}}, {0, false, {{1, 2.0}}}, {1, true, {{3, 1.5}}}}));
+  // Fused: plain and mirrored groups with a dot tail.
+  requests.push_back(AxpyGroupsRequest({{0, false, {{2, 0.5}, {3, -1.0}}}},
+                                       {{0, {1, 2}}, {3, {0}}}));
+  requests.push_back(AxpyGroupsRequest(
+      {{1, true, {{2, 0.25}}}, {0, false, {{3, 2.0}}}},
+      {{2, {0, 1, 3}}, {1, {1}}}));
   requests.push_back(ZipRow0Request(2, {2.0, 0.5}));
   // Rows 2 and 3 are the axpy sources: nonzero, so any applied entry
   // moves row 0 or 1.
@@ -253,6 +269,8 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
   ASSERT_TRUE(server_.Handle(fill.buffer()).ok());
   const std::vector<uint8_t> row0 = server_.Handle(PullRowRequest(0))->response;
   const std::vector<uint8_t> row1 = server_.Handle(PullRowRequest(1))->response;
+  const std::vector<uint8_t> row2 = server_.Handle(PullRowRequest(2))->response;
+  const std::vector<uint8_t> row3 = server_.Handle(PullRowRequest(3))->response;
   for (const std::vector<uint8_t>& full : requests) {
     for (size_t len = 0; len < full.size(); ++len) {
       std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
@@ -266,6 +284,8 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
       server_.Handle(ZipRow0Request(huge, {2.0, 0.5})).status().IsOutOfRange());
   EXPECT_EQ(server_.Handle(PullRowRequest(0))->response, row0);
   EXPECT_EQ(server_.Handle(PullRowRequest(1))->response, row1);
+  EXPECT_EQ(server_.Handle(PullRowRequest(2))->response, row2);
+  EXPECT_EQ(server_.Handle(PullRowRequest(3))->response, row3);
   for (const std::vector<uint8_t>& full : requests) {
     EXPECT_TRUE(server_.Handle(full).ok()) << "opcode " << int{full[0]};
   }
@@ -324,6 +344,7 @@ TEST_F(PsFuzzTest, HostileAxpyGroupsRejected) {
     writer.WriteVarint(0);
     writer.WriteVarint(1);
     writer.WriteF64(1.0);
+    writer.WriteVarint(0);  // dot tail count
     return writer.Release();
   };
   // A group count the buffer cannot back.
@@ -347,6 +368,54 @@ TEST_F(PsFuzzTest, HostileAxpyGroupsRejected) {
   EXPECT_TRUE(server_.Handle(header(1, 2)).ok());
   EXPECT_TRUE(server_.Handle(header(1, 3)).ok());
   EXPECT_NE(server_.Handle(PullRowRequest(0))->response, row0);
+}
+
+TEST_F(PsFuzzTest, BadDotTailAfterValidAxpyGroupsAppliesNothing) {
+  BufferWriter fill;  // rows 2 and 3 = ones, so any applied entry moves 0-3
+  fill.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  fill.WriteVarint(0);
+  fill.WriteVarint(2);
+  const std::vector<double> ones(64, 1.0);
+  for (uint32_t r : {2, 3}) {
+    fill.WriteVarint(0);
+    fill.WriteVarint(r);
+    fill.WriteVarint(64);
+    fill.WriteF64Span(ones.data(), ones.size());
+  }
+  ASSERT_TRUE(server_.Handle(fill.buffer()).ok());
+  std::vector<std::vector<uint8_t>> rows;
+  for (uint32_t r = 0; r < 4; ++r) {
+    rows.push_back(server_.Handle(PullRowRequest(r))->response);
+  }
+  const std::vector<AxpyGroupSpec> groups = {{0, true, {{2, 0.5}}},
+                                             {1, false, {{3, -1.0}}}};
+  const DotRun two{0, {1, 2}}, one{3, {0}}, empty{2, {}};
+  // A count the buffer cannot back.
+  const uint64_t huge = uint64_t{1} << 60;
+  EXPECT_TRUE(server_.Handle(AxpyGroupsRequest(groups, {two}, huge))
+                  .status()
+                  .IsOutOfRange());
+  // A run of 0.
+  EXPECT_TRUE(server_.Handle(AxpyGroupsRequest(groups, {empty, two}, 2))
+                  .status()
+                  .IsInvalidArgument());
+  // A run longer than what is left of `count`.
+  EXPECT_TRUE(server_.Handle(AxpyGroupsRequest(groups, {one, two}, 2))
+                  .status()
+                  .IsInvalidArgument());
+  // A run naming a row outside the matrix.
+  EXPECT_FALSE(server_.Handle(AxpyGroupsRequest(groups, {{0, {1, 4}}})).ok());
+  for (uint32_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(server_.Handle(PullRowRequest(r))->response, rows[r])
+        << "row " << r;
+  }
+  // The same groups with a good tail apply and answer three dots.
+  Result<PsServer::HandleResult> good =
+      server_.Handle(AxpyGroupsRequest(groups, {two, one}));
+  ASSERT_TRUE(good.ok()) << good.status();
+  BufferReader reader(good->response);
+  EXPECT_EQ(*reader.ReadVarint(), 3u);
+  EXPECT_NE(server_.Handle(PullRowRequest(0))->response, rows[0]);
 }
 
 TEST_F(PsFuzzTest, CompressedFrameWithHugeRawLengthRejected) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "common/serde.h"
@@ -190,6 +192,111 @@ TEST_F(DedupTest, CrashedServerRejectsUntilRevived) {
   EXPECT_TRUE(server_.Handle(PullRequest()).ok());
 }
 
+/// Untracked kPushDense setting both rows of the fixture's matrix (whose
+/// rows start at zero) to `row0` and `row1`.
+std::vector<uint8_t> FillRequest(const std::vector<double>& row0,
+                                 const std::vector<double>& row1) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  w.WriteVarint(0);  // window from column 0
+  w.WriteVarint(2);
+  for (uint32_t r = 0; r < 2; ++r) {
+    const std::vector<double>& values = r == 0 ? row0 : row1;
+    w.WriteVarint(0);
+    w.WriteVarint(r);
+    w.WriteVarint(values.size());
+    w.WriteF64Span(values.data(), values.size());
+  }
+  return w.Release();
+}
+
+/// The kDotBatch body over pairs (0,0), (0,1), (1,1): runs of row 0 and 1.
+void WriteDotRuns(BufferWriter* w) {
+  w->WriteVarint(3);
+  for (uint32_t a : {0, 1}) {
+    w->WriteVarint(0);
+    w->WriteVarint(a);
+    w->WriteVarint(2 - a);
+    for (uint32_t b = a; b < 2; ++b) {
+      w->WriteVarint(0);
+      w->WriteVarint(b);
+    }
+  }
+}
+
+/// The mirrored update `row 0 += 0.5·row 1; row 1 += 0.5·row 0` as a
+/// kAxpyBatch, with WriteDotRuns as its dot tail when `dots`.
+std::vector<uint8_t> FusedRequest(bool dots) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
+  w.WriteVarint(1);  // one group: anchor (0, 0), one mirrored entry
+  w.WriteVarint(0);
+  w.WriteVarint(0);
+  w.WriteVarint(1 << 1 | 1);
+  w.WriteVarint(0);
+  w.WriteVarint(1);
+  w.WriteF64(0.5);
+  if (dots) {
+    WriteDotRuns(&w);
+  } else {
+    w.WriteVarint(0);
+  }
+  return w.Release();
+}
+
+/// The dot tail of FusedRequest as a plain kDotBatch.
+std::vector<uint8_t> DotRequest() {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
+  WriteDotRuns(&w);
+  return w.Release();
+}
+
+/// Both rows of the fixture's matrix, as the pull response bytes.
+std::vector<uint8_t> PullBoth(PsServer* server) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  w.WriteVarint(0);
+  w.WriteVarint(8);
+  w.WriteVarint(2);
+  for (uint32_t r = 0; r < 2; ++r) {
+    w.WriteVarint(0);
+    w.WriteVarint(r);
+  }
+  return server->Handle(w.buffer())->response;
+}
+
+TEST_F(DedupTest, ReplayedFusedAxpyDotAppliesOnceAndRecomputesDots) {
+  const std::vector<double> row0 = {1, -2, 0.25, 3, 0.5, -1, 2, 7};
+  const std::vector<double> row1 = {0.5, 1, -3, 0.125, 4, 2, -0.75, 1};
+  ASSERT_TRUE(server_.Handle(FillRequest(row0, row1)).ok());
+  // The reference applies the groups exactly once, without dots.
+  PsServer once(0, &udfs_);
+  ASSERT_TRUE(once.CreateMatrixShard(MakeMeta(0, 8, 2, 1)).ok());
+  ASSERT_TRUE(once.Handle(FillRequest(row0, row1)).ok());
+  ASSERT_TRUE(once.Handle(FusedRequest(/*dots=*/false)).ok());
+
+  const std::vector<uint8_t> fused = FusedRequest(/*dots=*/true);
+  // The first attempt applies, but its response is lost; the retry of the
+  // same (client, seq) is a dedup hit.
+  Result<PsServer::HandleResult> first = server_.Handle(Header(7, 1), fused);
+  ASSERT_TRUE(first.ok()) << first.status();
+  Result<PsServer::HandleResult> retry =
+      server_.Handle(Header(7, 1, 2), fused);
+  ASSERT_TRUE(retry.ok()) << retry.status();
+  EXPECT_TRUE(retry->dedup_hit);
+  EXPECT_EQ(server_.dedup_hits(), 1u);
+  EXPECT_EQ(PullBoth(&server_), PullBoth(&once));
+  // The replay answers the dot tail from the post-axpy state, bit for bit
+  // what a fresh kDotBatch returns.
+  Result<PsServer::HandleResult> fresh = server_.Handle(DotRequest());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(retry->response, fresh->response);
+  EXPECT_EQ(first->response, fresh->response);
+  BufferReader in(retry->response);
+  EXPECT_EQ(*in.ReadVarint(), 3u);
+}
+
 // ---- Client retry loop ----------------------------------------------------
 
 struct Fixture {
@@ -283,6 +390,55 @@ TEST(PsRetryTest, FaultedRunReachesBitEqualParametersWithBoundedOverhead) {
   EXPECT_EQ(clean.first, faulted.first);      // bit-equal parameters
   EXPECT_GT(faulted.second, clean.second);    // retries cost virtual time
   EXPECT_LT(faulted.second, clean.second * 3);  // ... but bounded
+}
+
+TEST(PsRetryTest, FusedAxpyDotBatchesUnderMessageFaultsMatchFaultFreeRun) {
+  // Lost requests and lost responses on fused kAxpyBatch requests: every
+  // axpy applies exactly once and every replayed dot tail is recomputed
+  // from the post-axpy state, so the faulted run returns the fault-free
+  // run's dots and rows bit for bit.
+  auto run = [](double p) {
+    ClusterSpec spec;
+    spec.num_workers = 2;
+    spec.num_servers = 3;
+    spec.message_failure_prob = p;
+    spec.seed = 29;
+    Fixture f(spec);
+    const RowRef u = f.weight;
+    const RowRef v{u.matrix_id, 1};
+    std::vector<double> init(60);
+    for (size_t i = 0; i < init.size(); ++i) init[i] = 0.01 * (i % 7) - 0.02;
+    EXPECT_TRUE(f.client->PushDense(u, init).ok());
+    EXPECT_TRUE(f.client->PushDense(v, std::vector<double>(60, 0.25)).ok());
+    std::vector<double> dots;
+    for (int i = 0; i < 60; ++i) {
+      const double alpha = 0.05 * (i % 5 - 2);
+      Result<std::vector<double>> r =
+          f.client
+              ->AxpyDotBatchAsync({{u, v, alpha}, {v, u, alpha}},
+                                  {{u, u}, {u, v}, {v, v}})
+              .Get();
+      EXPECT_TRUE(r.ok()) << r.status();
+      if (r.ok()) dots.insert(dots.end(), r->begin(), r->end());
+    }
+    std::vector<double> rows = *f.client->PullDense(u);
+    std::vector<double> row_v = *f.client->PullDense(v);
+    rows.insert(rows.end(), row_v.begin(), row_v.end());
+    return std::make_tuple(dots, rows,
+                           f.cluster->metrics().Get("ps.dedup_hits"));
+  };
+  const auto [clean_dots, clean_rows, clean_hits] = run(0.0);
+  const auto [dots, rows, hits] = run(0.1);
+  EXPECT_EQ(clean_hits, 0u);
+  EXPECT_GT(hits, 0u);
+  ASSERT_EQ(dots.size(), clean_dots.size());
+  EXPECT_EQ(std::memcmp(dots.data(), clean_dots.data(),
+                        dots.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(rows.size(), clean_rows.size());
+  EXPECT_EQ(std::memcmp(rows.data(), clean_rows.data(),
+                        rows.size() * sizeof(double)),
+            0);
 }
 
 TEST(PsRetryTest, AttemptsAreBoundedWhenServerStaysDown) {

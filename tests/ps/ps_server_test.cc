@@ -420,7 +420,7 @@ TEST_F(PsServerTest, TwoRowPushWithBadSecondRowAppliesNothing) {
 }
 
 /// kAxpyBatch of `groups` over matrix 0: each group is an anchor row, the
-/// mirrored flag and its (other row, alpha) entries.
+/// mirrored flag and its (other row, alpha) entries. No dot tail.
 struct AxpyGroupSpec {
   uint32_t anchor;
   bool mirrored;
@@ -441,6 +441,7 @@ BufferWriter AxpyGroups(const std::vector<AxpyGroupSpec>& groups) {
       w.WriteF64(alpha);
     }
   }
+  w.WriteVarint(0);  // dot tail count
   return w;
 }
 
