@@ -9,6 +9,7 @@
 #include "net/network_model.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "ps/range_image.h"
 
 namespace ps2 {
 
@@ -304,23 +305,14 @@ Status HotspotManager::SyncReplicasLocked() {
     PS2_RETURN_NOT_OK(Exchange(&t, s, collect_req, &response));
     BufferReader in(response);
     for (size_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-      std::vector<uint64_t> cols(nnz);
-      uint64_t prev = 0;
-      for (uint64_t j = 0; j < nnz; ++j) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-        prev += delta;
-        cols[j] = prev;
-      }
-      for (uint64_t j = 0; j < nnz; ++j) {
-        PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
-        merged[i][cols[j]] += v;
-      }
+      PS2_ASSIGN_OR_RETURN(auto pending,
+                           ReadSparseEntries(&in, 0, fresh[i].size()));
+      for (const auto& [col, v] : pending) merged[i][col] += v;
       PS2_ASSIGN_OR_RETURN(uint8_t has_slice, in.ReadU8());
       if (has_slice != 0) {
         PS2_ASSIGN_OR_RETURN(uint64_t begin, in.ReadVarint());
         PS2_ASSIGN_OR_RETURN(uint64_t width, in.ReadVarint());
-        if (begin + width > fresh[i].size()) {
+        if (width > fresh[i].size() || begin > fresh[i].size() - width) {
           return Status::Internal("replica slice outside row dimension");
         }
         PS2_ASSIGN_OR_RETURN(std::vector<double> slice,

@@ -72,19 +72,18 @@ Status PsServer::CreateMatrixShard(const MatrixMeta& meta) {
   if (!part.ServerSpan(id_, &begin, &end)) {
     return Status::InvalidArgument("server not covered by partitioner");
   }
-  Shard shard;
-  shard.meta = meta;
-  shard.begin = begin;
-  shard.end = end;
-  if (shard.dense()) {
-    shard.dense_rows.assign(meta.num_rows,
-                            std::vector<double>(shard.width(), 0.0));
-  } else {
-    shard.sparse_rows.assign(meta.num_rows, {});
-  }
-  shard.row_versions.assign(meta.num_rows, 0);
-  shards_.emplace(meta.id, std::move(shard));
+  shards_.emplace(meta.id, MakeShard(meta, begin, end));
   return Status::OK();
+}
+
+PsServer::Shard PsServer::MakeShard(const MatrixMeta& meta, uint64_t begin,
+                                    uint64_t end) {
+  Shard shard;
+  static_cast<RangeImage&>(shard) =
+      ZeroRangeImage(meta.storage, meta.num_rows, begin, end);
+  shard.meta = meta;
+  shard.row_versions.assign(meta.num_rows, 0);
+  return shard;
 }
 
 Status PsServer::FreeMatrixShard(int matrix_id) {
@@ -141,55 +140,21 @@ uint64_t PsServer::routing_epoch() const {
 
 void PsServer::ResizeShardLocked(Shard* shard, uint64_t new_begin,
                                  uint64_t new_end, uint64_t epoch) {
-  const uint64_t old_begin = shard->begin;
-  const uint64_t old_end = shard->end;
-  const uint64_t n_rows = shard->meta.num_rows;
-  if (shard->dense()) {
-    const uint64_t new_width = new_end - new_begin;
-    const uint64_t lo = std::max(old_begin, new_begin);
-    const uint64_t hi = std::min(old_end, new_end);
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      std::vector<double> row(new_width, 0.0);
-      if (lo < hi) {
-        const double* src = shard->dense_rows[r].data() + (lo - old_begin);
-        std::copy(src, src + (hi - lo), row.data() + (lo - new_begin));
-      }
-      shard->dense_rows[r] = std::move(row);
-    }
-  } else {
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      auto& map = shard->sparse_rows[r];
-      map.erase(map.begin(), map.lower_bound(new_begin));
-      map.erase(map.lower_bound(new_end), map.end());
-    }
-  }
-  shard->begin = new_begin;
-  shard->end = new_end;
+  RangeImage resized =
+      ZeroRangeImage(shard->storage, shard->num_rows, new_begin, new_end);
+  ApplyRangeImage(*shard, &resized);
   // Fill the non-overlap from this epoch's staged ranges (installed by
-  // kRangeMigrate; the commit validated coverage before calling here).
-  const int matrix_id = shard->meta.id;
-  for (auto& [key, staged] : staged_) {
-    if (std::get<0>(key) != epoch || std::get<1>(key) != matrix_id) continue;
-    const uint64_t lo = std::max(staged.begin, new_begin);
-    const uint64_t hi = std::min(staged.end, new_end);
-    if (lo >= hi) continue;
-    for (uint64_t r = 0; r < n_rows && r < staged.num_rows; ++r) {
-      if (shard->dense()) {
-        const double* src = staged.dense_rows[r].data() + (lo - staged.begin);
-        std::copy(src, src + (hi - lo),
-                  shard->dense_rows[r].data() + (lo - new_begin));
-      } else {
-        const auto& src = staged.sparse_rows[r];
-        for (auto it = src.lower_bound(lo); it != src.end() && it->first < hi;
-             ++it) {
-          shard->sparse_rows[r][it->first] = it->second;
-        }
-      }
+  // kRangeMigrate; the commit validated coverage and shape before calling
+  // here).
+  for (const auto& [key, staged] : staged_) {
+    if (std::get<0>(key) == epoch && std::get<1>(key) == shard->meta.id) {
+      ApplyRangeImage(staged.image, &resized);
     }
   }
+  static_cast<RangeImage&>(*shard) = std::move(resized);
   // The row layout changed under every row: stamp them all so the next
   // snapshot publish re-copies, and so serving never aliases stale buffers.
-  for (uint64_t r = 0; r < n_rows; ++r) TouchRowLocked(shard, r);
+  for (uint64_t r = 0; r < shard->num_rows; ++r) TouchRowLocked(shard, r);
 }
 
 Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
@@ -203,18 +168,7 @@ Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
     return true;
   }
   if (it == shards_.end()) {
-    Shard shard;
-    shard.meta = meta;
-    shard.begin = begin;
-    shard.end = end;
-    if (shard.dense()) {
-      shard.dense_rows.assign(meta.num_rows,
-                              std::vector<double>(shard.width(), 0.0));
-    } else {
-      shard.sparse_rows.assign(meta.num_rows, {});
-    }
-    shard.row_versions.assign(meta.num_rows, 0);
-    shards_.emplace(meta.id, std::move(shard));
+    shards_.emplace(meta.id, MakeShard(meta, begin, end));
     return true;
   }
   Shard& shard = it->second;
@@ -1206,14 +1160,8 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
             "replica sync for a row without a replica");
       }
       Replica& replica = it->second;
-      writer.WriteVarint(replica.pending.size());
-      uint64_t prev = 0;
-      for (const auto& [col, v] : replica.pending) {
-        writer.WriteVarint(col - prev);
-        prev = col;
-      }
-      for (const auto& [col, v] : replica.pending) writer.WriteF64(v);
-      out.server_ops += replica.pending.size();
+      out.server_ops +=
+          WriteSparseEntries(&writer, replica.pending, 0, replica.dim);
       replica.pending.clear();
       auto sit = shards_.find(static_cast<int>(m));
       const bool has_slice = sit != shards_.end() && sit->second.dense() &&
@@ -1257,7 +1205,6 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
   RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
   // Accumulate into pending even for a version-0 (not-yet-installed)
   // replica: the next sync folds the deltas into the primary either way.
@@ -1266,22 +1213,12 @@ Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
     return Status::FailedPrecondition("hot push to a row without a replica");
   }
   Replica& replica = it->second;
-  std::vector<uint64_t> cols(nnz);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < nnz; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    if (prev >= replica.dim) {
-      return Status::OutOfRange("push index outside replica");
-    }
-    cols[i] = prev;
-  }
-  for (uint64_t i = 0; i < nnz; ++i) {
-    PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-    if (v != 0.0) replica.pending[cols[i]] += v;
+  PS2_ASSIGN_OR_RETURN(auto delta, ReadSparseEntries(in, 0, replica.dim));
+  for (const auto& [col, v] : delta) {
+    if (v != 0.0) replica.pending[col] += v;
   }
   HandleResult out;
-  out.server_ops = nnz;
+  out.server_ops = delta.size();
   return out;
 }
 
@@ -1403,39 +1340,10 @@ Result<PsServer::HandleResult> PsServer::HandleRangeExtract(BufferReader* in) {
   }
   HandleResult out;
   BufferWriter writer;
-  writer.WriteVarint(begin);
-  writer.WriteVarint(end);
-  writer.WriteVarint(shard.meta.dim);
-  writer.WriteVarint(shard.meta.num_rows);
-  writer.WriteU8(static_cast<uint8_t>(shard.meta.storage));
-  const uint64_t n = end - begin;
-  for (uint64_t r = 0; r < shard.meta.num_rows; ++r) {
-    if (shard.dense()) {
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(shard.dense_rows[r].data() + (begin - shard.begin),
-                          n);
-      writer.EndSection();
-      out.server_ops += n;
-    } else {
-      const auto& map = shard.sparse_rows[r];
-      const auto lo = map.lower_bound(begin);
-      const auto hi = map.lower_bound(end);
-      uint64_t nnz = 0;
-      for (auto itc = lo; itc != hi; ++itc) ++nnz;
-      writer.WriteVarint(nnz);
-      uint64_t prev = 0;
-      for (auto itc = lo; itc != hi; ++itc) {
-        writer.WriteVarint(itc->first - prev);
-        prev = itc->first;
-      }
-      for (auto itc = lo; itc != hi; ++itc) writer.WriteF64(itc->second);
-      out.server_ops += nnz;
-    }
-  }
+  out.server_ops = WriteRangeImage(&writer, shard, begin, end);
   // The source's worker-clock view travels with the range: clock tables
   // follow the range owner (DESIGN.md §11/§12), max-merged at commit.
-  writer.WriteVarint(worker_clocks_.size());
-  for (uint64_t c : worker_clocks_) writer.WriteVarint(c);
+  writer.WriteVarintVector(worker_clocks_);
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
@@ -1447,55 +1355,20 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   // also value-idempotent — it overwrites its own key with identical bytes.
   PS2_ASSIGN_OR_RETURN(uint64_t epoch, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  StagedRange staged;
-  PS2_ASSIGN_OR_RETURN(staged.begin, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(staged.end, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(staged.dim, in->ReadVarint());
-  // Every staged row carries at least one byte (a dense value or an nnz).
-  PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadCount());
-  PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
-  if (staged.begin >= staged.end) {
+  StagedRange staged;
+  PS2_ASSIGN_OR_RETURN(staged.image, ReadRangeImage(in));
+  if (staged.image.width() == 0) {
     return Status::InvalidArgument("empty staged range");
   }
-  staged.num_rows = static_cast<uint32_t>(num_rows);
-  staged.storage = static_cast<MatrixStorage>(storage);
-  const uint64_t n = staged.end - staged.begin;
+  PS2_ASSIGN_OR_RETURN(staged.worker_clocks, in->ReadVarintVector());
+  if (!in->AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after staged range");
+  }
   HandleResult out;
-  if (staged.storage == MatrixStorage::kDense) {
-    staged.dense_rows.reserve(num_rows);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      PS2_ASSIGN_OR_RETURN(std::vector<double> row, in->ReadF64Span(n));
-      staged.dense_rows.push_back(std::move(row));
-      out.server_ops += n;
-    }
-  } else {
-    staged.sparse_rows.assign(num_rows, {});
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount());
-      std::vector<uint64_t> cols(nnz);
-      uint64_t prev = 0;
-      for (uint64_t i = 0; i < nnz; ++i) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-        prev += delta;
-        if (prev < staged.begin || prev >= staged.end) {
-          return Status::OutOfRange("staged column outside range");
-        }
-        cols[i] = prev;
-      }
-      for (uint64_t i = 0; i < nnz; ++i) {
-        PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-        staged.sparse_rows[r][cols[i]] = v;
-      }
-      out.server_ops += nnz;
-    }
-  }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in->ReadCount());
-  staged.worker_clocks.resize(n_clocks, 0);
-  for (uint64_t w = 0; w < n_clocks; ++w) {
-    PS2_ASSIGN_OR_RETURN(staged.worker_clocks[w], in->ReadVarint());
-  }
-  staged_[std::make_tuple(epoch, static_cast<int>(matrix_id), staged.begin)] =
+  out.server_ops = staged.image.values();
+  const uint64_t begin = staged.image.begin;
+  staged_[std::make_tuple(epoch, static_cast<int>(matrix_id), begin)] =
       std::move(staged);
   return out;
 }
@@ -1509,26 +1382,23 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
   // Each entry is five varints and a byte: at least 6 bytes on the wire.
   PS2_ASSIGN_OR_RETURN(uint64_t n_matrices, in->ReadCount(6));
+  // The meta core of the matrix, and this server's new span of it.
   struct Entry {
-    int matrix_id;
-    uint64_t begin, end, dim;
-    uint32_t num_rows;
-    MatrixStorage storage;
+    MatrixMeta meta;
+    uint64_t begin, end;
   };
-  std::vector<Entry> entries;
-  entries.reserve(n_matrices);
-  for (uint64_t i = 0; i < n_matrices; ++i) {
-    Entry e;
+  std::vector<Entry> entries(n_matrices);
+  for (Entry& e : entries) {
     PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(e.begin, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(e.end, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(e.dim, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(e.meta.dim, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t rows, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
-    e.matrix_id = static_cast<int>(m);
-    e.num_rows = static_cast<uint32_t>(rows);
-    e.storage = static_cast<MatrixStorage>(storage);
-    entries.push_back(e);
+    e.meta.id = static_cast<int>(m);
+    e.meta.num_rows = static_cast<uint32_t>(rows);
+    e.meta.storage = static_cast<MatrixStorage>(storage);
+    e.meta.routing_epoch = epoch;
   }
   if (routing_epoch_ >= epoch && !fenced_) {
     // Replay of an already-committed epoch that slipped past the dedup
@@ -1542,19 +1412,25 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   // retries the commit.
   for (const Entry& e : entries) {
     if (e.begin >= e.end) continue;  // shard is dropped, nothing to cover
-    std::vector<std::pair<uint64_t, uint64_t>> covered;
-    auto it = shards_.find(e.matrix_id);
-    if (it != shards_.end()) {
-      const uint64_t lo = std::max(it->second.begin, e.begin);
-      const uint64_t hi = std::min(it->second.end, e.end);
-      if (lo < hi) covered.emplace_back(lo, hi);
-    }
+    std::vector<const RangeImage*> sources;
+    auto it = shards_.find(e.meta.id);
+    if (it != shards_.end()) sources.push_back(&it->second);
     for (const auto& [key, staged] : staged_) {
-      if (std::get<0>(key) != epoch || std::get<1>(key) != e.matrix_id) {
-        continue;
+      if (std::get<0>(key) == epoch && std::get<1>(key) == e.meta.id) {
+        sources.push_back(&staged.image);
       }
-      const uint64_t lo = std::max(staged.begin, e.begin);
-      const uint64_t hi = std::min(staged.end, e.end);
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> covered;
+    for (const RangeImage* source : sources) {
+      // Each source applies row by row into the committed shard, so its
+      // shape must be the entry's.
+      if (source->storage != e.meta.storage ||
+          source->num_rows != e.meta.num_rows) {
+        return Status::FailedPrecondition(
+            "range shape differs from migration commit");
+      }
+      const uint64_t lo = std::max(source->begin, e.begin);
+      const uint64_t hi = std::min(source->end, e.end);
       if (lo < hi) covered.emplace_back(lo, hi);
     }
     std::sort(covered.begin(), covered.end());
@@ -1570,33 +1446,21 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   }
   HandleResult out;
   for (const Entry& e : entries) {
-    auto it = shards_.find(e.matrix_id);
+    auto it = shards_.find(e.meta.id);
     if (e.begin >= e.end) {
       if (it != shards_.end()) shards_.erase(it);
       continue;
     }
     if (it == shards_.end()) {
-      // Joining server: create the shard from the commit's meta core. The
+      // Joining server: create an empty shard from the commit's meta core,
+      // for ResizeShardLocked to fill from the staged ranges. The
       // partitioner snapshot inside the meta is not used on the server data
       // path (bounds are explicit); the master refreshes it on publish.
-      Shard shard;
-      shard.meta.id = e.matrix_id;
-      shard.meta.dim = e.dim;
-      shard.meta.num_rows = e.num_rows;
-      shard.meta.storage = e.storage;
-      shard.meta.routing_epoch = epoch;
-      shard.begin = e.begin;
-      shard.end = e.begin;  // empty; ResizeShardLocked fills from staged
-      if (e.storage == MatrixStorage::kDense) {
-        shard.dense_rows.assign(e.num_rows, {});
-      } else {
-        shard.sparse_rows.assign(e.num_rows, {});
-      }
-      shard.row_versions.assign(e.num_rows, 0);
-      it = shards_.emplace(e.matrix_id, std::move(shard)).first;
+      it = shards_.emplace(e.meta.id, MakeShard(e.meta, e.begin, e.begin))
+               .first;
     }
     ResizeShardLocked(&it->second, e.begin, e.end, epoch);
-    out.server_ops += static_cast<uint64_t>(e.num_rows) * (e.end - e.begin);
+    out.server_ops += uint64_t{e.meta.num_rows} * (e.end - e.begin);
   }
   // Clock tables follow the range owner: max-merge every staged view.
   for (const auto& [key, staged] : staged_) {
@@ -1710,33 +1574,16 @@ bool PsServer::HasSnapshotEpoch(uint64_t epoch) const {
 
 std::vector<uint8_t> PsServer::SerializeState() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // Four sections: shards, replicas, dedup table, worker clocks. Each shard
+  // is a range image over its own bounds — with elastic membership a
+  // server's column span can change between checkpoints, so restore must
+  // not assume the current bounds match the checkpoint's (DESIGN.md §12).
   BufferWriter writer;
   writer.WriteVarint(shards_.size());
   for (const auto& [id, shard] : shards_) {
     writer.WriteVarint(static_cast<uint64_t>(id));
-    writer.WriteU8(static_cast<uint8_t>(shard.meta.storage));
-    // Shard bounds are part of the image (DESIGN.md §12): with elastic
-    // membership a server's column span can change between checkpoints, so
-    // restore must not assume the current bounds match the checkpoint's.
-    writer.WriteVarint(shard.begin);
-    writer.WriteVarint(shard.end);
-    if (shard.dense()) {
-      writer.WriteVarint(shard.dense_rows.size());
-      for (const auto& row : shard.dense_rows) writer.WritePodVector(row);
-    } else {
-      writer.WriteVarint(shard.sparse_rows.size());
-      for (const auto& row : shard.sparse_rows) {
-        writer.WriteVarint(row.size());
-        uint64_t prev = 0;
-        for (const auto& [col, v] : row) {
-          writer.WriteVarint(col - prev);
-          prev = col;
-          writer.WriteF64(v);
-        }
-      }
-    }
+    WriteRangeImage(&writer, shard, shard.begin, shard.end);
   }
-  // Replica section (appended so pre-§5d checkpoints stay readable).
   writer.WriteVarint(replicas_.size());
   for (const auto& [key, replica] : replicas_) {
     writer.WriteVarint(static_cast<uint64_t>(key.first));
@@ -1744,16 +1591,9 @@ std::vector<uint8_t> PsServer::SerializeState() const {
     writer.WriteVarint(replica.dim);
     writer.WriteVarint(replica.version);
     writer.WritePodVector(replica.values);
-    writer.WriteVarint(replica.pending.size());
-    uint64_t prev = 0;
-    for (const auto& [col, v] : replica.pending) {
-      writer.WriteVarint(col - prev);
-      prev = col;
-      writer.WriteF64(v);
-    }
+    WriteSparseEntries(&writer, replica.pending, 0, replica.dim);
   }
-  // Dedup section (appended after replicas so older checkpoints stay
-  // readable). Restoring it with the shard values makes recovery
+  // Restoring the dedup table with the shard values makes recovery
   // crash-consistent: a retry racing a crash can never double-apply.
   writer.WriteVarint(dedup_.size());
   for (const auto& [client_id, d] : dedup_) {
@@ -1766,11 +1606,9 @@ std::vector<uint8_t> PsServer::SerializeState() const {
       prev = seq;
     }
   }
-  // Worker-clock section (appended after dedup so §6-era checkpoints stay
-  // readable). A recovered server restores the consistency controller's
-  // clock vector together with the values it gates (DESIGN.md §11).
-  writer.WriteVarint(worker_clocks_.size());
-  for (uint64_t c : worker_clocks_) writer.WriteVarint(c);
+  // A recovered server restores the consistency controller's clock vector
+  // together with the values it gates (DESIGN.md §11).
+  writer.WriteVarintVector(worker_clocks_);
   return writer.Release();
 }
 
@@ -1779,125 +1617,69 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   // Validate, then apply: every section is parsed into staging first, and
   // server state changes only once the whole image has parsed, so a corrupt
   // image leaves the server exactly as it was.
-  struct StagedShard {
-    Shard* shard = nullptr;
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    std::vector<std::vector<double>> dense_rows;
-    std::vector<std::map<uint64_t, double>> sparse_rows;
-  };
-  std::vector<StagedShard> shards;
+  std::map<int, RangeImage> shards;
   std::map<std::pair<int, uint32_t>, Replica> replicas;
   std::map<int, ClientDedup> dedup;
-  std::vector<uint64_t> clocks;
   BufferReader in(buffer);
-  PS2_ASSIGN_OR_RETURN(uint64_t n_shards, in.ReadVarint());
+  // A shard is at least an id and a range image's four bytes.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_shards, in.ReadCount(5));
   for (uint64_t s = 0; s < n_shards; ++s) {
     PS2_ASSIGN_OR_RETURN(uint64_t id, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint8_t storage, in.ReadU8());
-    PS2_ASSIGN_OR_RETURN(uint64_t img_begin, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t img_end, in.ReadVarint());
     auto it = shards_.find(static_cast<int>(id));
     if (it == shards_.end()) {
       return Status::NotFound("checkpoint contains unknown matrix shard");
     }
-    StagedShard staged;
-    staged.shard = &it->second;
-    if (static_cast<MatrixStorage>(storage) != staged.shard->meta.storage) {
-      return Status::Internal("checkpoint storage kind mismatch");
+    PS2_ASSIGN_OR_RETURN(RangeImage image, ReadRangeImage(&in));
+    if (image.storage != it->second.storage ||
+        image.num_rows != it->second.num_rows) {
+      return Status::Internal("checkpoint shard shape mismatch");
     }
-    if (img_begin > img_end) {
-      return Status::Internal("checkpoint shard bounds invalid");
+    if (!shards.emplace(it->first, std::move(image)).second) {
+      return Status::Internal("checkpoint repeats a matrix shard");
     }
-    PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in.ReadVarint());
-    if (n_rows != staged.shard->meta.num_rows) {
-      return Status::Internal("checkpoint row count mismatch");
-    }
-    // The image is authoritative for bounds: a checkpoint written before a
-    // migration restores the pre-migration span, and the master reconciles
-    // it against the current routing table afterwards
-    // (PsServer::ReconcileShardBounds — DESIGN.md §12).
-    staged.begin = img_begin;
-    staged.end = img_end;
-    if (staged.shard->dense()) {
-      staged.dense_rows.resize(n_rows);
-      for (std::vector<double>& row : staged.dense_rows) {
-        PS2_ASSIGN_OR_RETURN(row, in.ReadPodVector<double>());
-        if (row.size() != img_end - img_begin) {
-          return Status::Internal("checkpoint row width mismatch");
-        }
-      }
-    } else {
-      staged.sparse_rows.resize(n_rows);
-      for (std::map<uint64_t, double>& row : staged.sparse_rows) {
-        PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-        uint64_t prev = 0;
-        for (uint64_t i = 0; i < nnz; ++i) {
-          PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-          prev += delta;
-          PS2_ASSIGN_OR_RETURN(row[prev], in.ReadF64());
-        }
-      }
-    }
-    shards.push_back(std::move(staged));
   }
-  // Each later section is optional: an image that ends before it predates
-  // it (§5d replicas, §6 dedup, §11 clocks).
+  PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadCount(6));
+  for (uint64_t i = 0; i < n_replicas; ++i) {
+    PS2_ASSIGN_OR_RETURN(uint64_t m, in.ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t row, in.ReadVarint());
+    Replica replica;
+    PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
+    PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
+    PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
+    if (!replica.values.empty() && replica.values.size() != replica.dim) {
+      return Status::Internal("checkpoint replica width mismatch");
+    }
+    PS2_ASSIGN_OR_RETURN(replica.pending,
+                         ReadSparseEntries(&in, 0, replica.dim));
+    replicas[{static_cast<int>(m), static_cast<uint32_t>(row)}] =
+        std::move(replica);
+  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadCount(3));
+  for (uint64_t i = 0; i < n_clients; ++i) {
+    PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
+    ClientDedup d;
+    PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
+    PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadCount());
+    uint64_t prev = d.floor;
+    for (uint64_t j = 0; j < n_seen; ++j) {
+      PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
+      prev += delta;
+      d.seen.insert(prev);
+    }
+    dedup[static_cast<int>(client_id)] = std::move(d);
+  }
+  PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> clocks, in.ReadVarintVector());
   if (!in.AtEnd()) {
-    PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
-    for (uint64_t i = 0; i < n_replicas; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t m, in.ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t row, in.ReadVarint());
-      Replica replica;
-      PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
-      PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
-      PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
-      if (!replica.values.empty() && replica.values.size() != replica.dim) {
-        return Status::Internal("checkpoint replica width mismatch");
-      }
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-      uint64_t prev = 0;
-      for (uint64_t j = 0; j < nnz; ++j) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-        prev += delta;
-        PS2_ASSIGN_OR_RETURN(replica.pending[prev], in.ReadF64());
-      }
-      replicas[{static_cast<int>(m), static_cast<uint32_t>(row)}] =
-          std::move(replica);
-    }
+    return Status::Internal("trailing bytes after checkpoint image");
   }
-  if (!in.AtEnd()) {
-    PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
-    for (uint64_t i = 0; i < n_clients; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
-      ClientDedup d;
-      PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());
-      uint64_t prev = d.floor;
-      for (uint64_t j = 0; j < n_seen; ++j) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-        prev += delta;
-        d.seen.insert(prev);
-      }
-      dedup[static_cast<int>(client_id)] = std::move(d);
-    }
-  }
-  if (!in.AtEnd()) {
-    PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount());
-    clocks.resize(n_clocks);
-    for (uint64_t& c : clocks) {
-      PS2_ASSIGN_OR_RETURN(c, in.ReadVarint());
-    }
-  }
-  // Apply.
-  for (StagedShard& staged : shards) {
-    staged.shard->begin = staged.begin;
-    staged.shard->end = staged.end;
-    if (staged.shard->dense()) {
-      staged.shard->dense_rows = std::move(staged.dense_rows);
-    } else {
-      staged.shard->sparse_rows = std::move(staged.sparse_rows);
-    }
+  // Apply. Each image is authoritative for its shard's bounds: a checkpoint
+  // written before a migration restores the pre-migration span, and the
+  // master reconciles it against the current routing table afterwards
+  // (ReconcileShardBounds — DESIGN.md §12).
+  for (const auto& [id, image] : shards) {
+    Shard* shard = &shards_.at(id);
+    ResizeShardLocked(shard, image.begin, image.end, /*epoch=*/0);
+    ApplyRangeImage(image, shard);
   }
   replicas_ = std::move(replicas);
   dedup_ = std::move(dedup);
@@ -1919,13 +1701,8 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
 void PsServer::DropAllState() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, shard] : shards_) {
-    if (shard.dense()) {
-      for (auto& row : shard.dense_rows) {
-        std::fill(row.begin(), row.end(), 0.0);
-      }
-    } else {
-      for (auto& row : shard.sparse_rows) row.clear();
-    }
+    static_cast<RangeImage&>(shard) =
+        ZeroRangeImage(shard.storage, shard.num_rows, shard.begin, shard.end);
   }
   replicas_.clear();
   // Staged migration ranges die with the process: a commit after recovery
@@ -1956,13 +1733,7 @@ void PsServer::DropAllState() {
 uint64_t PsServer::StoredValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [id, shard] : shards_) {
-    if (shard.dense()) {
-      total += shard.meta.num_rows * shard.width();
-    } else {
-      for (const auto& row : shard.sparse_rows) total += row.size();
-    }
-  }
+  for (const auto& [id, shard] : shards_) total += shard.values();
   return total;
 }
 

@@ -30,6 +30,7 @@
 #include "net/filters.h"
 #include "net/message.h"
 #include "ps/ps_types.h"
+#include "ps/range_image.h"
 
 namespace ps2 {
 
@@ -259,21 +260,16 @@ class PsServer {
   bool HasSnapshotEpoch(uint64_t epoch) const;
 
  private:
-  struct Shard {
+  /// A shard is the range image of the columns this server owns, plus the
+  /// matrix metadata and the per-row write versions.
+  struct Shard : RangeImage {
     MatrixMeta meta;
-    uint64_t begin = 0;  ///< global column of local element 0
-    uint64_t end = 0;
-    // Dense storage: rows x (end-begin).
-    std::vector<std::vector<double>> dense_rows;
-    // Sparse storage: per-row map global column -> value.
-    std::vector<std::map<uint64_t, double>> sparse_rows;
     // Mutation clock value of the last write to each row (serving
     // copy-on-publish reuses unchanged rows across snapshot epochs).
     std::vector<uint64_t> row_versions;
-
-    uint64_t width() const { return end - begin; }
-    bool dense() const { return meta.storage == MatrixStorage::kDense; }
   };
+  /// A zero-filled shard of `meta` over [begin, end).
+  static Shard MakeShard(const MatrixMeta& meta, uint64_t begin, uint64_t end);
 
   /// One immutable row of a published snapshot. Exactly one of dense/sparse
   /// is set (per the shard's storage kind); buffers are shared, never
@@ -313,15 +309,7 @@ class PsServer {
   /// replays are idempotent. Soft state: a crash before the commit drops it
   /// and the master re-installs (DESIGN.md §12).
   struct StagedRange {
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    uint64_t dim = 0;
-    uint32_t num_rows = 0;
-    MatrixStorage storage = MatrixStorage::kDense;
-    // Dense: num_rows x (end-begin). Sparse: per-row column -> value within
-    // [begin, end).
-    std::vector<std::vector<double>> dense_rows;
-    std::vector<std::map<uint64_t, double>> sparse_rows;
+    RangeImage image;
     // Source server's worker clocks, max-merged at commit (clock tables
     // follow the range owner — DESIGN.md §11/§12).
     std::vector<uint64_t> worker_clocks;

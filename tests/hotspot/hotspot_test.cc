@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/serde.h"
 #include "dcv/dcv_context.h"
 #include "hotspot/client_cache.h"
 #include "ps/ps_client.h"
@@ -228,6 +229,35 @@ TEST_F(HotspotTest, CheckpointCoversReplicaStateAcrossCrash) {
     EXPECT_TRUE(snap.pending.empty());
   }
   EXPECT_DOUBLE_EQ((*v.PullSparse({5}))[0], 9.0);
+}
+
+TEST_F(HotspotTest, SyncRejectsCollectedPendingPastRowEnd) {
+  // Server 0 is handed a replica of the 8-wide row that is 1,000,001 wide
+  // and holds a pending delta at column 1,000,000. The master's collect
+  // must refuse the column instead of adding it past the end of its
+  // reconciled row.
+  Dcv v = *ctx_->Dense(8);
+  ASSERT_TRUE(v.Push(std::vector<double>(8, 1.0)).ok());
+  ASSERT_TRUE(hotspot()->ReplicateNow({v.ref()}).ok());
+  PsServer* server = master()->server(0);
+  BufferWriter wide;
+  wide.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
+  wide.WriteVarint(1);
+  wide.WriteVarint(static_cast<uint64_t>(v.ref().matrix_id));
+  wide.WriteVarint(v.ref().row);
+  wide.WriteVarint(1000001);
+  ASSERT_TRUE(server->Handle(wide.Release()).ok());
+  BufferWriter push;
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
+  push.WriteVarint(static_cast<uint64_t>(v.ref().matrix_id));
+  push.WriteVarint(v.ref().row);
+  push.WriteVarint(1);
+  push.WriteVarint(1000000);
+  push.WriteF64(3.0);
+  ASSERT_TRUE(server->Handle(push.Release()).ok());
+
+  EXPECT_TRUE(hotspot()->SyncNow().IsOutOfRange());
+  EXPECT_EQ(*v.Pull(), std::vector<double>(8, 1.0));
 }
 
 TEST_F(HotspotTest, ServerRecoveryBumpsEpochAndRefreshesClientCaches) {

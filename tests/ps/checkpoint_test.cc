@@ -50,8 +50,12 @@ TEST(CheckpointStoreTest, TryGetDistinguishesMissingFromEmpty) {
 /// A server image written by hand: a dense shard (matrix 0), a sparse shard
 /// (matrix 1), a replica with pending deltas, one client's dedup entry and
 /// three worker clocks; values are offset by `v`. `counts` receives the
-/// offset of every count in the image.
-std::vector<uint8_t> ServerImage(double v, std::vector<size_t>* counts) {
+/// offset of every count in the image. `sparse_col` is the column of sparse
+/// row 0's last entry (row 1's sits one further) and `pending_col` that of
+/// the replica's last pending delta.
+std::vector<uint8_t> ServerImage(double v, std::vector<size_t>* counts,
+                                 uint64_t sparse_col = 43,
+                                 uint64_t pending_col = 5) {
   BufferWriter w;
   auto count = [&](uint64_t n) {
     if (counts != nullptr) counts->push_back(w.size());
@@ -59,24 +63,23 @@ std::vector<uint8_t> ServerImage(double v, std::vector<size_t>* counts) {
   };
   count(2);  // shards
   w.WriteVarint(0);
-  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
-  w.WriteVarint(0);
+  w.WriteVarint(0);  // range image over [0, 8)
   w.WriteVarint(8);
+  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
   count(2);  // rows
   for (int r = 0; r < 2; ++r) {
-    count(8);
     for (int c = 0; c < 8; ++c) w.WriteF64(v + r - 0.5 * c);
   }
   w.WriteVarint(1);
-  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kSparse));
-  w.WriteVarint(0);
+  w.WriteVarint(0);  // range image over [0, 100)
   w.WriteVarint(100);
+  w.WriteU8(static_cast<uint8_t>(MatrixStorage::kSparse));
   count(2);  // rows
   for (int r = 0; r < 2; ++r) {
-    count(2);  // nnz
+    count(2);  // nnz: column deltas, then values
     w.WriteVarint(3 + r);
+    w.WriteVarint(sparse_col - 3);
     w.WriteF64(v * 2 + r);
-    w.WriteVarint(40);
     w.WriteF64(-v);
   }
   count(1);  // replicas
@@ -86,10 +89,10 @@ std::vector<uint8_t> ServerImage(double v, std::vector<size_t>* counts) {
   w.WriteVarint(3);  // version
   count(8);
   for (int c = 0; c < 8; ++c) w.WriteF64(v - c);
-  count(2);  // pending
+  count(2);  // pending: column deltas, then values
   w.WriteVarint(2);
+  w.WriteVarint(pending_col - 2);
   w.WriteF64(0.25 * v);
-  w.WriteVarint(3);
   w.WriteF64(-0.5);
   count(1);  // dedup clients
   w.WriteVarint(7);
@@ -145,21 +148,48 @@ TEST(CheckpointTest, CorruptImageLeavesStateUntouched) {
       corrupt.push_back(w.Release());
     }
   }
-  // A cut at a section boundary is a valid older image; anything else must
-  // fail without changing a byte of the server's state.
+  // No proper truncation is a valid image; anything that fails must fail
+  // without changing a byte of the server's state.
   size_t restored = 0;
   for (const std::vector<uint8_t>& bytes : corrupt) {
     std::unique_ptr<PsServer> server = ImageServer(&udfs);
     const std::vector<uint8_t> before = server->SerializeState();
     if (server->RestoreState(bytes).ok()) {
+      EXPECT_GE(bytes.size(), image.size()) << "truncated image restored";
       restored += 1;
       continue;
     }
     EXPECT_EQ(server->SerializeState(), before)
         << "image of " << bytes.size() << " bytes";
   }
-  EXPECT_GE(restored, 3u);  // cut after the shards, replicas and dedup table
   EXPECT_LT(restored, corrupt.size() / 4);
+}
+
+TEST(CheckpointTest, ReplicaPendingPastRowEndRejected) {
+  // A pending delta at column 1,000,000 of an 8-wide replica would reach
+  // the master's reconcile through the next replica-sync collect.
+  UdfRegistry udfs;
+  std::unique_ptr<PsServer> server = ImageServer(&udfs);
+  const std::vector<uint8_t> before = server->SerializeState();
+  EXPECT_FALSE(
+      server->RestoreState(ServerImage(2.0, nullptr, 43, 1000000)).ok());
+  EXPECT_EQ(server->SerializeState(), before);
+  // The same image with the pending inside the row restores.
+  EXPECT_TRUE(server->RestoreState(ServerImage(2.0, nullptr, 43, 7)).ok());
+}
+
+TEST(CheckpointTest, SparseEntryOutsideShardRangeRejected) {
+  // An entry at column 5,000,000 of a [0, 100) shard would be stored and
+  // counted as if the shard owned it.
+  UdfRegistry udfs;
+  std::unique_ptr<PsServer> server = ImageServer(&udfs);
+  const std::vector<uint8_t> before = server->SerializeState();
+  EXPECT_FALSE(
+      server->RestoreState(ServerImage(2.0, nullptr, 5000000, 5)).ok());
+  EXPECT_EQ(server->SerializeState(), before);
+  EXPECT_EQ(server->StoredValues(), 2u * 8u + 4u);
+  // The same image with the entries inside the shard restores.
+  EXPECT_TRUE(server->RestoreState(ServerImage(2.0, nullptr, 98, 5)).ok());
 }
 
 class ServerRecoveryTest : public ::testing::Test {

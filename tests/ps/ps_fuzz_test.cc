@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "common/rng.h"
@@ -12,6 +13,7 @@
 #include "net/message.h"
 #include "ps/partitioner.h"
 #include "ps/ps_server.h"
+#include "ps/range_image.h"
 
 namespace ps2 {
 namespace {
@@ -444,6 +446,218 @@ TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {
   }
   // A clean image must still restore.
   EXPECT_TRUE(server_.RestoreState(image).ok());
+}
+
+TEST_F(PsFuzzTest, CommitRejectsStagedRangeOfTheWrongShape) {
+  // A sparse range extracted off another server, staged for this server's
+  // dense matrix 0: the commit must refuse it rather than apply its sparse
+  // rows as dense ones.
+  MatrixMeta meta = MakeMeta(0, 128, 4);
+  meta.storage = MatrixStorage::kSparse;
+  meta.partitioner = *ColumnPartitioner::Make(128, 2);
+  PsServer source(1, &udfs_);
+  ASSERT_TRUE(source.CreateMatrixShard(meta).ok());
+  BufferWriter extract;
+  extract.WriteU8(static_cast<uint8_t>(PsOpCode::kRangeExtract));
+  extract.WriteVarint(0);
+  extract.WriteVarint(64);
+  extract.WriteVarint(128);
+  Result<PsServer::HandleResult> payload = source.Handle(extract.Release());
+  ASSERT_TRUE(payload.ok()) << payload.status();
+
+  const std::vector<uint8_t> before = server_.SerializeState();
+  BufferWriter migrate;
+  migrate.WriteU8(static_cast<uint8_t>(PsOpCode::kRangeMigrate));
+  migrate.WriteVarint(1);  // epoch
+  migrate.WriteVarint(0);  // matrix
+  migrate.WriteBytes(Slice(payload->response));
+  ASSERT_TRUE(server_.Handle(migrate.Release()).ok());
+  server_.FenceForMigration();
+  BufferWriter commit;
+  commit.WriteU8(static_cast<uint8_t>(PsOpCode::kRoutingUpdate));
+  commit.WriteVarint(1);  // epoch
+  commit.WriteVarint(1);  // one entry: matrix 0 grows to [0, 128), dense
+  commit.WriteVarint(0);
+  commit.WriteVarint(0);
+  commit.WriteVarint(128);
+  commit.WriteVarint(128);
+  commit.WriteVarint(4);
+  commit.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+  EXPECT_TRUE(server_.Handle(commit.Release()).status().IsFailedPrecondition());
+  EXPECT_EQ(server_.SerializeState(), before);
+}
+
+// ---- Structure-aware fuzzing of range images ------------------------------
+
+/// Offsets into `bytes` of every count of the range image at `at`.
+std::vector<size_t> RangeImageCounts(const std::vector<uint8_t>& bytes,
+                                     size_t at) {
+  BufferReader in(bytes.data() + at, bytes.size() - at);
+  auto offset = [&] { return bytes.size() - in.remaining(); };
+  const uint64_t begin = *in.ReadVarint();
+  const uint64_t end = *in.ReadVarint();
+  const bool dense =
+      *in.ReadU8() == static_cast<uint8_t>(MatrixStorage::kDense);
+  std::vector<size_t> counts{offset()};
+  const uint64_t rows = *in.ReadVarint();
+  for (uint64_t r = 0; r < rows; ++r) {
+    if (dense) {
+      EXPECT_TRUE(in.ReadBytes((end - begin) * sizeof(double)).ok());
+      continue;
+    }
+    counts.push_back(offset());
+    const uint64_t nnz = *in.ReadVarint();
+    for (uint64_t i = 0; i < nnz; ++i) EXPECT_TRUE(in.ReadVarint().ok());
+    EXPECT_TRUE(in.ReadBytes(nnz * sizeof(double)).ok());
+  }
+  return counts;
+}
+
+/// Every proper truncation of `bytes`, then `bytes` with each count at
+/// `counts` set to n+1, n-1 and 2^40.
+std::vector<std::vector<uint8_t>> Corruptions(
+    const std::vector<uint8_t>& bytes, const std::vector<size_t>& counts) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    out.emplace_back(bytes.begin(), bytes.begin() + len);
+  }
+  for (size_t at : counts) {
+    BufferReader reader(bytes.data() + at, bytes.size() - at);
+    const uint64_t n = *reader.ReadVarint();
+    const size_t width = bytes.size() - at - reader.remaining();
+    for (uint64_t bad : {n + 1, n == 0 ? 1 : n - 1, uint64_t{1} << 40}) {
+      BufferWriter w;
+      w.WriteBytes(Slice(bytes.data(), at));
+      w.WriteVarint(bad);
+      w.WriteBytes(Slice(bytes.data() + at + width,
+                         bytes.size() - at - width));
+      out.push_back(w.Release());
+    }
+  }
+  return out;
+}
+
+class RangeImageFuzzTest : public ::testing::Test {
+ protected:
+  RangeImageFuzzTest()
+      : dense_(ZeroRangeImage(MatrixStorage::kDense, 2, 4, 8)),
+        sparse_(ZeroRangeImage(MatrixStorage::kSparse, 2, 50, 100)) {
+    for (uint32_t r = 0; r < 2; ++r) {
+      for (uint64_t c = 0; c < 4; ++c) dense_.dense_rows[r][c] = 1.5 + r + c;
+    }
+    sparse_.sparse_rows[0] = {{52, 1.5}, {97, -2.0}};
+    sparse_.sparse_rows[1] = {{60, 0.5}};
+  }
+
+  /// A server owning the lower half of dense matrix 0 ([0, 4) of 8) and of
+  /// sparse matrix 1 ([0, 50) of 100), two rows each: the halves `dense_`
+  /// and `sparse_` complete.
+  std::unique_ptr<PsServer> HalfServer() {
+    auto server = std::make_unique<PsServer>(0, &udfs_);
+    for (const RangeImage* image : {&dense_, &sparse_}) {
+      MatrixMeta meta = MakeMeta(image->dense() ? 0 : 1, image->end, 2);
+      meta.storage = image->storage;
+      meta.partitioner = *ColumnPartitioner::Make(image->end, 2);
+      EXPECT_TRUE(server->CreateMatrixShard(meta).ok());
+    }
+    return server;
+  }
+
+  UdfRegistry udfs_;
+  RangeImage dense_;
+  RangeImage sparse_;
+};
+
+TEST_F(RangeImageFuzzTest, CorruptMigrationPayloadsNeverCommit) {
+  for (const RangeImage* image : {&dense_, &sparse_}) {
+    const int matrix = image->dense() ? 0 : 1;
+    // kRangeMigrate: epoch, matrix, then the extract response verbatim —
+    // the range image and the source's worker clocks.
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kRangeMigrate));
+    w.WriteVarint(1);
+    w.WriteVarint(static_cast<uint64_t>(matrix));
+    const size_t at = w.size();
+    WriteRangeImage(&w, *image, image->begin, image->end);
+    const size_t clocks_at = w.size();
+    for (uint64_t v : {2, 3, 1}) w.WriteVarint(v);
+    const std::vector<uint8_t> request = w.Release();
+    std::vector<size_t> counts = RangeImageCounts(request, at);
+    counts.push_back(clocks_at);
+
+    BufferWriter c;
+    c.WriteU8(static_cast<uint8_t>(PsOpCode::kRoutingUpdate));
+    c.WriteVarint(1);  // epoch
+    c.WriteVarint(1);  // one entry: the matrix grows to all its columns
+    c.WriteVarint(static_cast<uint64_t>(matrix));
+    c.WriteVarint(0);
+    c.WriteVarint(image->end);
+    c.WriteVarint(image->end);
+    c.WriteVarint(2);
+    c.WriteU8(static_cast<uint8_t>(image->storage));
+    const std::vector<uint8_t> commit = c.Release();
+
+    {
+      std::unique_ptr<PsServer> server = HalfServer();
+      server->FenceForMigration();
+      ASSERT_TRUE(server->Handle(request).ok());
+      ASSERT_TRUE(server->Handle(commit).ok());
+      // Matrix 0 holds 2 x 4 dense cells until it grows to 2 x 8.
+      EXPECT_EQ(server->StoredValues(), image->dense() ? 2u * 8u : 8u + 3u);
+    }
+    for (const std::vector<uint8_t>& bad : Corruptions(request, counts)) {
+      std::unique_ptr<PsServer> server = HalfServer();
+      const std::vector<uint8_t> before = server->SerializeState();
+      server->FenceForMigration();
+      (void)server->Handle(bad);  // may stage or fail; the commit must fail
+      EXPECT_FALSE(server->Handle(commit).ok())
+          << "matrix " << matrix << ", request of " << bad.size() << " bytes";
+      EXPECT_EQ(server->SerializeState(), before);
+    }
+  }
+}
+
+TEST_F(RangeImageFuzzTest, CorruptCheckpointImagesNeverRestore) {
+  // A server image: both range images as shards, one replica with pending
+  // deltas, an empty dedup table and two worker clocks.
+  BufferWriter w;
+  std::vector<size_t> counts{w.size()};
+  w.WriteVarint(2);
+  std::vector<size_t> images;
+  for (const RangeImage* image : {&dense_, &sparse_}) {
+    w.WriteVarint(image->dense() ? 0 : 1);
+    images.push_back(w.size());
+    WriteRangeImage(&w, *image, image->begin, image->end);
+  }
+  counts.push_back(w.size());
+  w.WriteVarint(1);  // replicas
+  // Matrix, row, dim, version.
+  for (uint64_t v : {0, 1, 8, 2}) w.WriteVarint(v);
+  counts.push_back(w.size());
+  w.WritePodVector(std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8});
+  counts.push_back(w.size());
+  WriteSparseEntries(&w, {{1, 0.5}, {6, -1.5}}, 0, 8);
+  counts.push_back(w.size());
+  w.WriteVarint(0);  // dedup clients
+  counts.push_back(w.size());
+  for (uint64_t v : {2, 3, 1}) w.WriteVarint(v);  // worker clocks
+  const std::vector<uint8_t> image = w.Release();
+  for (size_t at : images) {
+    for (size_t count : RangeImageCounts(image, at)) counts.push_back(count);
+  }
+
+  {
+    std::unique_ptr<PsServer> server = HalfServer();
+    ASSERT_TRUE(server->RestoreState(image).ok());
+    EXPECT_EQ(server->SerializeState(), image);
+  }
+  for (const std::vector<uint8_t>& bad : Corruptions(image, counts)) {
+    std::unique_ptr<PsServer> server = HalfServer();
+    const std::vector<uint8_t> before = server->SerializeState();
+    EXPECT_FALSE(server->RestoreState(bad).ok())
+        << "image of " << bad.size() << " bytes";
+    EXPECT_EQ(server->SerializeState(), before);
+  }
 }
 
 TEST_F(PsFuzzTest, SparseVectorDeserializeFuzz) {
